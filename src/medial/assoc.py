@@ -50,12 +50,6 @@ def alt_strip(a: AltTree) -> AltTree:
     return (a[0],) + tuple(alt_strip(c) for c in a[1:])
 
 
-def alt_relabel(a: AltTree, mapping) -> AltTree:
-    if alt_is_leaf(a):
-        return mapping.get(a, a)
-    return (a[0],) + tuple(alt_relabel(c, mapping) for c in a[1:])
-
-
 def is_alternating(a: AltTree) -> bool:
     if alt_is_leaf(a):
         return True

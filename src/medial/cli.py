@@ -203,19 +203,19 @@ def cmd_search(args) -> int:
     budget = args.budget
     lines: list[str] = []
     status = PASS
-    if args.monomial:
-        candidates = [geometry.realize(parse_monomial(args.monomial))]
-    else:
-        if args.arity is None:
-            print("error: provide --arity or --monomial", file=sys.stderr)
-            return USAGE
-        try:
+    if not args.monomial and args.arity is None:
+        print("error: provide --arity or --monomial", file=sys.stderr)
+        return USAGE
+    try:
+        if args.monomial:
+            candidates = [geometry.realize(parse_monomial(args.monomial))]
+        else:
             candidates = [
                 p.with_lex_labels() for p in geometry.enumerate_partitions(args.arity)
             ]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     examined = skipped = 0
     for part in candidates:
         if args.require_main_cuts and len(geometry.main_cuts(part)) != 2:
@@ -275,10 +275,10 @@ def cmd_render(args) -> int:
         else:
             print("error: provide --monomial or --input", file=sys.stderr)
             return USAGE
+        text = render.partition_svg(part) if args.format == "svg" else render.partition_ascii(part)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    text = render.partition_svg(part) if args.format == "svg" else render.partition_ascii(part)
     if args.out:
         Path(args.out).write_text(text)
     else:

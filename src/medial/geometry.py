@@ -1,15 +1,34 @@
 """Exact block partitions of the open unit square.
 
-Coordinates are dyadic rationals held as ``fractions.Fraction`` (the joins
-and bisections only ever halve, so denominators stay powers of two and
-everything hashes and compares exactly).  A partition is a tuple of open
-blocks, pairwise disjoint, of total area one, sorted by (x1, y1).
+A partition is a set of open blocks, pairwise disjoint, of total area one.
+It is held on an integer grid: ``den`` is the least common denominator of
+all coordinates, and ``cells`` holds one ``(x1, x2, y1, y2, label)`` tuple
+per block, coordinates in units of ``1/den`` and the label an int or None,
+sorted by (x1, y1).  Everything medial builds is dyadic, so there ``den``
+is a power of two; a partition a caller builds may use any denominator.
+Midpoint tests compare doubled coordinates (``2 * x1 < a + b``), which
+keeps them in integers.
+
+Values go in and come out as ``fractions.Fraction``: ``Block``, ``Rect``
+and ``Cut`` carry Fractions, and ``BlockPartition.blocks`` converts the
+cells on first use.
+
+The area, overlap and duplicate-label checks run where input comes in:
+``BlockPartition(blocks)`` and ``parse_partition``.  ``realize``,
+``hjoin``, ``vjoin``, ``bisect``, ``compose_partition``,
+``transform_partition``, ``with_lex_labels``, ``unlabeled`` and
+``enumerate_partitions`` build valid partitions from valid ones by
+construction and skip them; ``realize``, ``hjoin`` and ``vjoin`` keep the
+labels they are given, so those must be distinct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import trees
@@ -17,7 +36,6 @@ from .trees import DihedralElement, Tree, is_leaf
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -112,45 +130,67 @@ class Cut:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    blocks: tuple[Block, ...]
+# A cell is a block on the integer grid: (x1, x2, y1, y2, label).
+_corner = itemgetter(0, 2)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.blocks, key=lambda b: (b.x1, b.y1)))
-        object.__setattr__(self, "blocks", ordered)
-        total = sum((b.area for b in ordered), ZERO)
-        if total != ONE:
-            raise PartitionError(f"block areas sum to {total}, not 1")
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if a.overlaps(b):
-                    raise PartitionError(f"blocks overlap: {a} / {b}")
-        labels = [b.label for b in ordered if b.label is not None]
-        if labels and len(set(labels)) != len(labels):
-            raise PartitionError("duplicate block labels")
+
+def _block(den: int, cell: tuple) -> Block:
+    x1, x2, y1, y2, label = cell
+    return Block(Fraction(x1, den), Fraction(x2, den), Fraction(y1, den), Fraction(y2, den), label)
+
+
+def _rect(den: int, window: tuple[int, int, int, int]) -> Rect:
+    return Rect(*(Fraction(c, den) for c in window))
+
+
+@dataclass(frozen=True, init=False)
+class BlockPartition:
+    """A partition of the unit square into labeled or unlabeled blocks.
+
+    ``BlockPartition(blocks)`` checks that the blocks cover the square
+    without overlap and carry distinct labels.  ``den`` and ``cells`` are
+    the integer form described in the module docstring, and partitions are
+    equal exactly when those are; ``blocks`` gives the same blocks with
+    Fraction coordinates.
+    """
+
+    den: int
+    cells: tuple[tuple[int, int, int, int, int | None], ...]
+
+    def __init__(self, blocks: Sequence[Block]):
+        blocks = tuple(blocks)
+        corners = [[Fraction(c) for c in (b.x1, b.x2, b.y1, b.y2)] for b in blocks]
+        den = math.lcm(*(c.denominator for corner in corners for c in corner))
+        cells = sorted(
+            ((*(int(c * den) for c in corner), b.label) for corner, b in zip(corners, blocks)),
+            key=_corner,
+        )
+        _validate(den, cells)
+        self.__dict__.update(den=den, cells=tuple(cells))
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(_block(self.den, c) for c in self.cells)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.cells)
 
     @property
     def arity(self) -> int:
-        return len(self.blocks)
+        return len(self.cells)
 
     def labels(self) -> tuple[int | None, ...]:
-        return tuple(b.label for b in self.blocks)
+        return tuple(c[4] for c in self.cells)
 
     def is_standard(self) -> bool:
-        labels = sorted(b.label for b in self.blocks if b.label is not None)
-        return labels == list(range(1, len(self.blocks) + 1))
+        labels = sorted(label for label in self.labels() if label is not None)
+        return labels == list(range(1, len(self.cells) + 1))
 
     def unlabeled(self) -> "BlockPartition":
-        return BlockPartition(tuple(replace(b, label=None) for b in self.blocks))
+        return _trusted(self.den, [(*c[:4], None) for c in self.cells])
 
     def with_lex_labels(self) -> "BlockPartition":
-        return BlockPartition(
-            tuple(replace(b, label=i + 1) for i, b in enumerate(self.blocks))
-        )
+        return _trusted(self.den, [(*c[:4], i + 1) for i, c in enumerate(self.cells)])
 
     def block_with_label(self, label: int) -> Block:
         for b in self.blocks:
@@ -165,51 +205,98 @@ class BlockPartition:
         )
 
 
-UNIT_SQUARE = BlockPartition((Block(ZERO, ONE, ZERO, ONE, label=1),))
+def _validate(den: int, cells: list[tuple]) -> None:
+    total = sum((x2 - x1) * (y2 - y1) for x1, x2, y1, y2, _ in cells)
+    if total != den * den:
+        raise PartitionError(f"block areas sum to {Fraction(total, den * den)}, not 1")
+    for i, a in enumerate(cells):
+        for b in cells[i + 1 :]:
+            if a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]:
+                raise PartitionError(f"blocks overlap: {_block(den, a)} / {_block(den, b)}")
+    labels = [c[4] for c in cells if c[4] is not None]
+    if len(set(labels)) != len(labels):
+        raise PartitionError("duplicate block labels")
+
+
+def _trusted(den: int, cells) -> BlockPartition:
+    """A partition from cells that are valid by construction and in lowest
+    terms over ``den``; no checks run."""
+    p = BlockPartition.__new__(BlockPartition)
+    p.__dict__.update(den=den, cells=tuple(sorted(cells, key=_corner)))
+    return p
+
+
+def _reduced(den: int, cells: list[tuple]) -> BlockPartition:
+    """Like ``_trusted``, for cells over any common denominator."""
+    g = math.gcd(den, *(v for c in cells for v in c[:4]))
+    if g > 1:
+        den //= g
+        cells = [(x1 // g, x2 // g, y1 // g, y2 // g, label) for x1, x2, y1, y2, label in cells]
+    return _trusted(den, cells)
 
 
 def unit_square(label: int | None = 1) -> BlockPartition:
-    return BlockPartition((Block(ZERO, ONE, ZERO, ONE, label=label),))
+    return _trusted(1, [(0, 1, 0, 1, label)])
 
 
-def _scale_into(b: Block, window: Rect | Block) -> Block:
-    """Affinely map a block of the unit square into the window."""
-    wx, wy = window.x2 - window.x1, window.y2 - window.y1
-    return Block(
-        window.x1 + b.x1 * wx,
-        window.x1 + b.x2 * wx,
-        window.y1 + b.y1 * wy,
-        window.y1 + b.y2 * wy,
-        b.label,
-    )
+def _join(p: BlockPartition, q: BlockPartition, axis: str) -> BlockPartition:
+    """p in the lower half along axis, q in the upper half (labels kept)."""
+    den = 2 * math.lcm(p.den, q.den)
+    cells = []
+    for part, offset in ((p, 0), (q, den // 2)):
+        full = den // part.den
+        half = full // 2
+        for x1, x2, y1, y2, label in part.cells:
+            if axis == X_AXIS:
+                cells.append((offset + x1 * half, offset + x2 * half, y1 * full, y2 * full, label))
+            else:
+                cells.append((x1 * full, x2 * full, offset + y1 * half, offset + y2 * half, label))
+    return _reduced(den, cells)
 
 
 def hjoin(p: BlockPartition, q: BlockPartition) -> BlockPartition:
     """Place p in the west half and q in the east half (labels kept)."""
-    west = Rect(ZERO, HALF, ZERO, ONE)
-    east = Rect(HALF, ONE, ZERO, ONE)
-    return BlockPartition(
-        tuple(_scale_into(b, west) for b in p.blocks)
-        + tuple(_scale_into(b, east) for b in q.blocks)
-    )
+    return _join(p, q, X_AXIS)
 
 
 def vjoin(p: BlockPartition, q: BlockPartition) -> BlockPartition:
     """Place p in the south half and q in the north half (labels kept)."""
-    south = Rect(ZERO, ONE, ZERO, HALF)
-    north = Rect(ZERO, ONE, HALF, ONE)
-    return BlockPartition(
-        tuple(_scale_into(b, south) for b in p.blocks)
-        + tuple(_scale_into(b, north) for b in q.blocks)
-    )
+    return _join(p, q, Y_AXIS)
+
+
+def _cut_depths(t: Tree) -> tuple[int, int]:
+    """The most h nodes, and the most v nodes, on one root-to-leaf path."""
+    if is_leaf(t):
+        return 0, 0
+    h1, v1 = _cut_depths(t[1])
+    h2, v2 = _cut_depths(t[2])
+    if t[0] == trees.H:
+        return max(h1, h2) + 1, max(v1, v2)
+    return max(h1, h2), max(v1, v2) + 1
 
 
 def realize(t: Tree) -> BlockPartition:
     """Geometric realization: h joins east, v joins north, labels from leaves."""
-    if is_leaf(t):
-        return unit_square(label=t)
-    left, right = realize(t[1]), realize(t[2])
-    return hjoin(left, right) if t[0] == trees.H else vjoin(left, right)
+    # On a 2^d grid, d the larger cut depth, every split is integral, and
+    # the deepest split on that axis lands on an odd coordinate, so the
+    # grid is already in lowest terms.
+    den = 1 << max(_cut_depths(t))
+    cells: list[tuple] = []
+
+    def place(node: Tree, x1: int, x2: int, y1: int, y2: int) -> None:
+        if is_leaf(node):
+            cells.append((x1, x2, y1, y2, node))
+        elif node[0] == trees.H:
+            mid = (x1 + x2) // 2
+            place(node[1], x1, mid, y1, y2)
+            place(node[2], mid, x2, y1, y2)
+        else:
+            mid = (y1 + y2) // 2
+            place(node[1], x1, x2, y1, mid)
+            place(node[2], x1, x2, mid, y2)
+
+    place(t, 0, den, 0, den)
+    return _trusted(den, cells)
 
 
 def compose_partition(p: BlockPartition, i: int, q: BlockPartition) -> BlockPartition:
@@ -218,25 +305,30 @@ def compose_partition(p: BlockPartition, i: int, q: BlockPartition) -> BlockPart
     m, n = len(p), len(q)
     if not 1 <= i <= m:
         raise IndexError(f"block ordinal {i} out of range 1..{m}")
-    if all(b.label is not None for b in p.blocks):
-        target = p.block_with_label(i)
+    labels = p.labels()
+    if None not in labels:
+        if i not in labels:
+            raise KeyError(f"no block labeled {i}")
+        target = labels.index(i)
     else:
-        target = p.blocks[i - 1]
-    out: list[Block] = []
-    for b in p.blocks:
-        if b is target:
+        target = i - 1
+    # everything goes over p.den * q.den: p's cells scale by q.den, and q's
+    # by the target's size, offset to its corner
+    k = q.den
+    tx1, tx2, ty1, ty2, _ = p.cells[target]
+    width, height, ox, oy = tx2 - tx1, ty2 - ty1, tx1 * k, ty1 * k
+    out: list[tuple] = []
+    for index, (x1, x2, y1, y2, label) in enumerate(p.cells):
+        if index == target:
             continue
-        if b.label is None:
-            out.append(b)
-        else:
-            shift = n - 1 if b.label > i else 0
-            out.append(replace(b, label=b.label + shift))
-    for b in q.blocks:
-        scaled = _scale_into(b, target)
-        if scaled.label is not None:
-            scaled = replace(scaled, label=i + scaled.label - 1)
-        out.append(scaled)
-    return BlockPartition(tuple(out))
+        if label is not None and label > i:
+            label += n - 1
+        out.append((x1 * k, x2 * k, y1 * k, y2 * k, label))
+    for x1, x2, y1, y2, label in q.cells:
+        if label is not None:
+            label = i + label - 1
+        out.append((ox + x1 * width, ox + x2 * width, oy + y1 * height, oy + y2 * height, label))
+    return _reduced(p.den * k, out)
 
 
 def build_dyadic(choices: Sequence[tuple[int, str]]) -> BlockPartition:
@@ -256,23 +348,35 @@ def build_dyadic(choices: Sequence[tuple[int, str]]) -> BlockPartition:
 
 
 def bisect(p: BlockPartition, ordinal: int, axis: str) -> BlockPartition:
-    b = p.blocks[ordinal - 1]
-    rest = tuple(x for k, x in enumerate(p.blocks) if k != ordinal - 1)
-    if axis == X_AXIS:
-        c = (b.x1 + b.x2) / 2
-        halves = (Block(b.x1, c, b.y1, b.y2), Block(c, b.x2, b.y1, b.y2))
+    """Halve the ordinal-th block (1-based, sorted order); both halves are
+    unlabeled."""
+    if not 1 <= ordinal <= len(p):
+        raise IndexError(f"ordinal {ordinal} out of range 1..{len(p)}")
+    den = p.den
+    rest = list(p.cells)
+    x1, x2, y1, y2, _ = rest.pop(ordinal - 1)
+    twice_mid = x1 + x2 if axis == X_AXIS else y1 + y2
+    if twice_mid % 2:
+        # The midpoint is off the grid: refine it.  Its coordinate is then
+        # odd, so the new grid is still in lowest terms.
+        den *= 2
+        rest = [(a * 2, b * 2, c * 2, d * 2, label) for a, b, c, d, label in rest]
+        x1, x2, y1, y2, mid = x1 * 2, x2 * 2, y1 * 2, y2 * 2, twice_mid
     else:
-        c = (b.y1 + b.y2) / 2
-        halves = (Block(b.x1, b.x2, b.y1, c), Block(b.x1, b.x2, c, b.y2))
-    return BlockPartition(rest + halves)
+        mid = twice_mid // 2
+    if axis == X_AXIS:
+        rest += [(x1, mid, y1, y2, None), (mid, x2, y1, y2, None)]
+    else:
+        rest += [(x1, x2, y1, mid, None), (x1, x2, mid, y2, None)]
+    return _trusted(den, rest)
 
 
 # ---------------------------------------------------------------------------
 # Cuts, slices, block classification
 # ---------------------------------------------------------------------------
 
-def _merge_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    merged: list[tuple[Fraction, Fraction]] = []
+def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    merged: list[tuple[int, int]] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
@@ -281,7 +385,7 @@ def _merge_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[F
     return merged
 
 
-def _intersect_intervals(a, b) -> list[tuple[Fraction, Fraction]]:
+def _intersect_intervals(a, b) -> list[tuple[int, int]]:
     out = []
     for lo1, hi1 in a:
         for lo2, hi2 in b:
@@ -293,84 +397,103 @@ def _intersect_intervals(a, b) -> list[tuple[Fraction, Fraction]]:
 
 def cuts(p: BlockPartition) -> frozenset[Cut]:
     """Maximal open segments separating the blocks."""
-    out: set[Cut] = set()
-    for orientation in (VERTICAL, HORIZONTAL):
-        if orientation == VERTICAL:
-            coords = {b.x1 for b in p.blocks} | {b.x2 for b in p.blocks}
-            lower = lambda b, c: b.x2 == c
-            upper = lambda b, c: b.x1 == c
-            span = lambda b: (b.y1, b.y2)
-        else:
-            coords = {b.y1 for b in p.blocks} | {b.y2 for b in p.blocks}
-            lower = lambda b, c: b.y2 == c
-            upper = lambda b, c: b.y1 == c
-            span = lambda b: (b.x1, b.x2)
-        for c in coords:
-            if c == ZERO or c == ONE:
-                continue
-            below = _merge_intervals([span(b) for b in p.blocks if lower(b, c)])
-            above = _merge_intervals([span(b) for b in p.blocks if upper(b, c)])
+    den, cells = p.den, p.cells
+    found: set[tuple[str, int, int, int]] = set()
+    # cell indices of a block's start and end across the cut, and of its
+    # extent along the cut
+    for orientation, (start, end), (lo_i, hi_i) in (
+        (VERTICAL, (0, 1), (2, 3)),
+        (HORIZONTAL, (2, 3), (0, 1)),
+    ):
+        coords = {c[start] for c in cells} | {c[end] for c in cells}
+        for x in coords - {0, den}:
+            below = _merge_intervals([(c[lo_i], c[hi_i]) for c in cells if c[end] == x])
+            above = _merge_intervals([(c[lo_i], c[hi_i]) for c in cells if c[start] == x])
             for lo, hi in _intersect_intervals(below, above):
-                out.add(Cut(orientation, c, lo, hi))
-    _check_cut_consistency(p, out)
-    return frozenset(out)
+                found.add((orientation, x, lo, hi))
+    _check_cut_consistency(p, found)
+    return frozenset(
+        Cut(orientation, Fraction(x, den), Fraction(lo, den), Fraction(hi, den))
+        for orientation, x, lo, hi in found
+    )
 
 
-def _check_cut_consistency(p: BlockPartition, found: set[Cut]) -> None:
+def _check_cut_consistency(p: BlockPartition, found: set[tuple[str, int, int, int]]) -> None:
     # Every internal block edge must lie under some cut on both sides;
     # area + disjointness already guarantee coverage, so it suffices that
     # each block side strictly inside the square is matched by a cut.
-    for b in p.blocks:
+    den = p.den
+    for cell in p.cells:
+        x1, x2, y1, y2, _ = cell
         sides = [
-            (VERTICAL, b.x1, b.y1, b.y2),
-            (VERTICAL, b.x2, b.y1, b.y2),
-            (HORIZONTAL, b.y1, b.x1, b.x2),
-            (HORIZONTAL, b.y2, b.x1, b.x2),
+            (VERTICAL, x1, y1, y2),
+            (VERTICAL, x2, y1, y2),
+            (HORIZONTAL, y1, x1, x2),
+            (HORIZONTAL, y2, x1, x2),
         ]
         for orientation, c, lo, hi in sides:
-            if c == ZERO or c == ONE:
+            if c == 0 or c == den:
                 continue
             covered = _merge_intervals(
-                [
-                    (cut.lo, cut.hi)
-                    for cut in found
-                    if cut.orientation == orientation and cut.coordinate == c
-                ]
+                [(a, b) for o, x, a, b in found if o == orientation and x == c]
             )
             if not any(seg_lo <= lo and hi <= seg_hi for seg_lo, seg_hi in covered):
-                raise PartitionError(f"inconsistent partition: side {c} of {b} uncovered")
+                side = Fraction(c, den)
+                raise PartitionError(
+                    f"inconsistent partition: side {side} of {_block(den, cell)} uncovered"
+                )
+
+
+def _on_grid(p: BlockPartition, r: Rect) -> tuple[int, tuple, tuple[int, int, int, int]]:
+    """A common denominator for p and r, p's cells over it, and r's corners."""
+    if r is UNIT_RECT:
+        return p.den, p.cells, (0, p.den, 0, p.den)
+    corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
+    den = math.lcm(p.den, *(c.denominator for c in corners))
+    k = den // p.den
+    cells = tuple((x1 * k, x2 * k, y1 * k, y2 * k, label) for x1, x2, y1, y2, label in p.cells)
+    return den, cells, tuple(int(c * den) for c in corners)
+
+
+def _inside(cells, window: tuple[int, int, int, int]) -> list[tuple] | None:
+    """The cells within the window, or None when they do not fill it."""
+    x1, x2, y1, y2 = window
+    inside = [c for c in cells if x1 <= c[0] and c[1] <= x2 and y1 <= c[2] and c[3] <= y2]
+    if sum((c[1] - c[0]) * (c[3] - c[2]) for c in inside) != (x2 - x1) * (y2 - y1):
+        return None
+    return inside
+
+
+def _main_cuts(cells, window: tuple[int, int, int, int]) -> frozenset[str]:
+    """Which bisections of a window no cell straddles, for cells that fill it.
+
+    A bisection found lies on the grid ((x1 + x2) or (y1 + y2) is even):
+    the cell that covers a point halfway between grid lines straddles it.
+    """
+    x1, x2, y1, y2 = window
+    twice_x, twice_y = x1 + x2, y1 + y2
+    out = set()
+    if not any(2 * c[0] < twice_x < 2 * c[1] for c in cells):
+        out.add(VERTICAL)
+    if not any(2 * c[2] < twice_y < 2 * c[3] for c in cells):
+        out.add(HORIZONTAL)
+    return frozenset(out)
 
 
 def is_subrectangle(p: BlockPartition, r: Rect) -> int | None:
     """Arity of r as a disjoint union of blocks of p, or None."""
-    inside = [b for b in p.blocks if r.x1 <= b.x1 and b.x2 <= r.x2 and r.y1 <= b.y1 and b.y2 <= r.y2]
-    area = sum((b.area for b in inside), ZERO)
-    if area != (r.x2 - r.x1) * (r.y2 - r.y1):
-        return None
-    return len(inside)
-
-
-def _blocks_in(p: BlockPartition, r: Rect) -> list[Block]:
-    return [
-        b
-        for b in p.blocks
-        if r.x1 <= b.x1 and b.x2 <= r.x2 and r.y1 <= b.y1 and b.y2 <= r.y2
-    ]
+    _, cells, window = _on_grid(p, r)
+    inside = _inside(cells, window)
+    return None if inside is None else len(inside)
 
 
 def main_cuts(p: BlockPartition, r: Rect = UNIT_RECT) -> frozenset[str]:
     """Which exact bisections of r are unions of cuts of p."""
-    if is_subrectangle(p, r) is None:
+    _, cells, window = _on_grid(p, r)
+    inside = _inside(cells, window)
+    if inside is None:
         raise PartitionError(f"{r} is not a subrectangle of the partition")
-    out = set()
-    mid_x = (r.x1 + r.x2) / 2
-    mid_y = (r.y1 + r.y2) / 2
-    inside = _blocks_in(p, r)
-    if not any(b.x1 < mid_x < b.x2 for b in inside):
-        out.add(VERTICAL)
-    if not any(b.y1 < mid_y < b.y2 for b in inside):
-        out.add(HORIZONTAL)
-    return frozenset(out)
+    return _main_cuts(inside, window)
 
 
 def primary_cuts_and_slices(
@@ -385,32 +508,27 @@ def primary_cuts_and_slices(
         raise ValueError("orientation must be 'horizontal' or 'vertical'")
     if orientation not in main_cuts(p, r):
         raise PartitionError(f"no {orientation} main cut in {r}")
+    den, cells, window = _on_grid(p, r)
 
-    def collect(window: Rect) -> list[Fraction]:
-        if orientation not in main_cuts(p, window):
+    def collect(w: tuple[int, int, int, int]) -> list[int]:
+        if orientation not in _main_cuts(_inside(cells, w), w):
             return []
+        x1, x2, y1, y2 = w
         if orientation == HORIZONTAL:
-            mid = (window.y1 + window.y2) / 2
-            lowr = Rect(window.x1, window.x2, window.y1, mid)
-            highr = Rect(window.x1, window.x2, mid, window.y2)
-        else:
-            mid = (window.x1 + window.x2) / 2
-            lowr = Rect(window.x1, mid, window.y1, window.y2)
-            highr = Rect(mid, window.x2, window.y1, window.y2)
-        return collect(lowr) + [mid] + collect(highr)
+            mid = (y1 + y2) // 2
+            return collect((x1, x2, y1, mid)) + [mid] + collect((x1, x2, mid, y2))
+        mid = (x1 + x2) // 2
+        return collect((x1, mid, y1, y2)) + [mid] + collect((mid, x2, y1, y2))
 
-    cut_coords = tuple(collect(r))
+    marks = collect(window)
+    x1, x2, y1, y2 = window
     if orientation == HORIZONTAL:
-        bounds = (r.y1,) + cut_coords + (r.y2,)
-        slices = tuple(
-            Rect(r.x1, r.x2, bounds[j], bounds[j + 1]) for j in range(len(bounds) - 1)
-        )
+        bounds = (y1, *marks, y2)
+        slices = [(x1, x2, bounds[j], bounds[j + 1]) for j in range(len(bounds) - 1)]
     else:
-        bounds = (r.x1,) + cut_coords + (r.x2,)
-        slices = tuple(
-            Rect(bounds[j], bounds[j + 1], r.y1, r.y2) for j in range(len(bounds) - 1)
-        )
-    return cut_coords, slices
+        bounds = (x1, *marks, x2)
+        slices = [(bounds[j], bounds[j + 1], y1, y2) for j in range(len(bounds) - 1)]
+    return tuple(Fraction(m, den) for m in marks), tuple(_rect(den, s) for s in slices)
 
 
 INTERIOR = "interior"
@@ -422,20 +540,23 @@ def classify_blocks(p: BlockPartition) -> dict[Block, str]:
 
 
 def interior_labels(p: BlockPartition) -> frozenset[int]:
+    den = p.den
     return frozenset(
-        b.label for b in p.blocks if b.label is not None and not b.touches_boundary()
+        label
+        for x1, x2, y1, y2, label in p.cells
+        if label is not None and 0 < x1 and x2 < den and 0 < y1 and y2 < den
     )
 
 
 def boundary_order(p: BlockPartition) -> tuple[tuple[int, ...], ...]:
     """Label sequences along the south, north, west, east sides."""
-    south = sorted((b for b in p.blocks if b.y1 == ZERO), key=lambda b: b.x1)
-    north = sorted((b for b in p.blocks if b.y2 == ONE), key=lambda b: b.x1)
-    west = sorted((b for b in p.blocks if b.x1 == ZERO), key=lambda b: b.y1)
-    east = sorted((b for b in p.blocks if b.x2 == ONE), key=lambda b: b.y1)
-    return tuple(
-        tuple(b.label for b in side) for side in (south, north, west, east)
-    )
+    den, cells = p.den, p.cells
+
+    def side(index: int, value: int, along: int) -> tuple[int, ...]:
+        on_side = sorted((c for c in cells if c[index] == value), key=itemgetter(along))
+        return tuple(c[4] for c in on_side)
+
+    return side(2, 0, 0), side(3, den, 0), side(0, 0, 2), side(1, den, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -448,34 +569,36 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     Recursive main-cut decomposition; a window with both main cuts yields
     trees from both splits (deduplicated, though the root operations differ).
     """
-    if any(b.label is None for b in p.blocks):
+    if None in p.labels():
         p = p.with_lex_labels()
 
-    def go(window: Rect, blocks: tuple[Block, ...]) -> tuple[Tree, ...]:
-        if len(blocks) == 1:
-            return (blocks[0].label,)
+    def go(window: tuple[int, int, int, int], cells: tuple) -> tuple[Tree, ...]:
+        if len(cells) == 1:
+            return (cells[0][4],)
         results: dict[bytes, Tree] = {}
-        mid_x = (window.x1 + window.x2) / 2
-        mid_y = (window.y1 + window.y2) / 2
-        if not any(b.x1 < mid_x < b.x2 for b in blocks):
-            west = tuple(b for b in blocks if b.x2 <= mid_x)
-            east = tuple(b for b in blocks if b.x1 >= mid_x)
-            for left in go(Rect(window.x1, mid_x, window.y1, window.y2), west):
-                for right in go(Rect(mid_x, window.x2, window.y1, window.y2), east):
+        x1, x2, y1, y2 = window
+        found = _main_cuts(cells, window)
+        if VERTICAL in found:
+            mid = (x1 + x2) // 2
+            west = tuple(c for c in cells if c[1] <= mid)
+            east = tuple(c for c in cells if c[0] >= mid)
+            for left in go((x1, mid, y1, y2), west):
+                for right in go((mid, x2, y1, y2), east):
                     tree = (trees.H, left, right)
                     results[trees.canonical_key(tree)] = tree
-        if not any(b.y1 < mid_y < b.y2 for b in blocks):
-            south = tuple(b for b in blocks if b.y2 <= mid_y)
-            north = tuple(b for b in blocks if b.y1 >= mid_y)
-            for bottom in go(Rect(window.x1, window.x2, window.y1, mid_y), south):
-                for top in go(Rect(window.x1, window.x2, mid_y, window.y2), north):
+        if HORIZONTAL in found:
+            mid = (y1 + y2) // 2
+            south = tuple(c for c in cells if c[3] <= mid)
+            north = tuple(c for c in cells if c[2] >= mid)
+            for bottom in go((x1, x2, y1, mid), south):
+                for top in go((x1, x2, mid, y2), north):
                     tree = (trees.V, bottom, top)
                     results[trees.canonical_key(tree)] = tree
         if not results:
-            raise NotDyadicError(f"window {window} admits no main cut")
+            raise NotDyadicError(f"window {_rect(p.den, window)} admits no main cut")
         return tuple(results.values())
 
-    return go(UNIT_RECT, p.blocks)
+    return go((0, p.den, 0, p.den), p.cells)
 
 
 def is_dyadic(p: BlockPartition) -> bool:
@@ -492,18 +615,17 @@ def is_dyadic(p: BlockPartition) -> bool:
 
 def transform_partition(p: BlockPartition, g: DihedralElement) -> BlockPartition:
     """Geometric counterpart of the symmetry action on monomials."""
-
-    def move(b: Block) -> Block:
-        x1, x2, y1, y2 = b.x1, b.x2, b.y1, b.y2
+    den = p.den
+    cells = []
+    for x1, x2, y1, y2, label in p.cells:
         if g.flip_h:
-            x1, x2 = ONE - x2, ONE - x1
+            x1, x2 = den - x2, den - x1
         if g.flip_v:
-            y1, y2 = ONE - y2, ONE - y1
+            y1, y2 = den - y2, den - y1
         if g.transpose:
             x1, x2, y1, y2 = y1, y2, x1, x2
-        return Block(x1, x2, y1, y2, b.label)
-
-    return BlockPartition(tuple(move(b) for b in p.blocks))
+        cells.append((x1, x2, y1, y2, label))
+    return _trusted(den, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +662,24 @@ def parse_partition(text: str) -> BlockPartition:
 
 def enumerate_partitions(n: int, limit: int = 8) -> Iterator[BlockPartition]:
     """All distinct unlabeled dyadic partitions with n blocks (BFS over
-    bisection sequences, deduplicated by coordinates)."""
+    bisection sequences, deduplicated), in lexicographic order of their
+    block coordinates."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     if n > limit:
         raise ValueError(f"arity {n} exceeds the enumeration limit {limit}")
-    level = {unit_square(label=None).key(): unit_square(label=None)}
+    level = {unit_square(label=None)}
     for _ in range(n - 1):
-        nxt: dict[tuple, BlockPartition] = {}
-        for part in level.values():
-            for ordinal in range(1, len(part) + 1):
-                for axis in (X_AXIS, Y_AXIS):
-                    q = bisect(part, ordinal, axis)
-                    nxt[q.key()] = q
-        level = nxt
-    for key in sorted(level):
-        yield level[key]
+        level = {
+            bisect(part, ordinal, axis)
+            for part in level
+            for ordinal in range(1, len(part) + 1)
+            for axis in (X_AXIS, Y_AXIS)
+        }
+    den = max(part.den for part in level)
+
+    def coordinates(part: BlockPartition) -> tuple[int, ...]:
+        k = den // part.den
+        return tuple(v * k for c in part.cells for v in c[:4])
+
+    yield from sorted(level, key=coordinates)

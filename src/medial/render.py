@@ -22,8 +22,20 @@ def _decimal(value: Fraction) -> str:
     return f"{whole}.{frac}".rstrip("0").rstrip(".")
 
 
+def _require_dyadic(p: BlockPartition) -> None:
+    if p.den & (p.den - 1):
+        raise ValueError(
+            f"cannot draw a partition over denominator {p.den}: "
+            "coordinates must be dyadic (a/2^b)"
+        )
+
+
 def partition_svg(p: BlockPartition) -> str:
-    """Blocks as rectangles, labels centered; byte-stable for fixed input."""
+    """Blocks as rectangles, labels centered; byte-stable for fixed input.
+
+    Raises ValueError when coordinates are not dyadic.
+    """
+    _require_dyadic(p)
     span = SVG_SIZE - 2 * SVG_MARGIN
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
@@ -57,9 +69,12 @@ def partition_svg(p: BlockPartition) -> str:
 
 
 def partition_ascii(p: BlockPartition) -> str:
-    """Character-grid drawing; rows run north to south."""
-    denominators = [c.denominator for b in p.blocks for c in (b.x1, b.x2, b.y1, b.y2)]
-    resolution = max(denominators)
+    """Character-grid drawing; rows run north to south.
+
+    Raises ValueError when coordinates are not dyadic.
+    """
+    _require_dyadic(p)
+    resolution = p.den
     cols = 4 * resolution
     rows = 2 * resolution
     width, height = cols + 1, rows + 1

@@ -333,7 +333,6 @@ class DihedralElement:
         return not (self.transpose or self.flip_h or self.flip_v)
 
 
-IDENTITY = DihedralElement()
 FLIP_H = DihedralElement(flip_h=True)
 FLIP_V = DihedralElement(flip_v=True)
 TRANSPOSE = DihedralElement(transpose=True)

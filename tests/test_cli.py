@@ -85,6 +85,29 @@ def test_render_parse_failure(tmp_path):
     assert main(["render", "--input", str(bad)]) == USAGE
 
 
+def test_render_rejects_non_dyadic_partition(tmp_path, capsys):
+    # a pinwheel whose blocks meet at heights 1/3 and 2/3
+    src = tmp_path / "thirds.txt"
+    src.write_text(
+        "0/2^0 1/2^1 0/2^0 1/3 1\n"
+        "1/2^1 1/2^0 0/2^0 2/3 2\n"
+        "0/2^0 1/2^1 1/3 1/2^0 3\n"
+        "1/2^1 1/2^0 2/3 1/2^0 4\n"
+    )
+    for fmt in ("svg", "ascii"):
+        assert main(["render", "--input", str(src), "--format", fmt]) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_search_monomial_syntax_error(capsys):
+    assert main(["search", "--monomial", "((a h b) v c"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_search_seeded_config_a(capsys):
     rel_text = "(((a h b) v (c h (d v e))) h (((f v g) h h) v (i h j)))"
     assert main(["search", "--monomial", rel_text]) == PASS

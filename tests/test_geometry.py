@@ -285,6 +285,47 @@ def test_enumerate_partitions_counts():
     assert sum(1 for _ in enumerate_partitions(4)) == 39
 
 
+def _assert_valid(p):
+    # the public constructor runs the full area, overlap and label checks
+    assert BlockPartition(p.blocks) == p
+
+
+def test_internally_built_partitions_are_valid():
+    for n in range(1, 7):
+        for p in enumerate_partitions(n):
+            _assert_valid(p)
+            _assert_valid(p.with_lex_labels())
+    rng = random.Random(5)
+    elements = dihedral_elements()
+    for _ in range(300):
+        t = random_shape(rng.randint(1, 10), rng)
+        p = realize(t)
+        _assert_valid(p)
+        _assert_valid(p.unlabeled())
+        q = realize(random_shape(rng.randint(1, 4), rng))
+        _assert_valid(hjoin(p, q.unlabeled()))
+        _assert_valid(vjoin(q.unlabeled(), p))
+        i = rng.randint(1, len(p))
+        _assert_valid(compose_partition(p, i, q))
+        _assert_valid(compose_partition(p.unlabeled(), i, q))
+        for g in elements:
+            _assert_valid(transform_partition(p, g))
+    # a denominator that is not a power of two (thirds and halves)
+    thirds = BlockPartition(
+        (
+            Block(F(0), F(1, 2), F(0), F(1, 3), 1),
+            Block(F(1, 2), F(1), F(0), F(2, 3), 2),
+            Block(F(0), F(1, 2), F(1, 3), F(1), 3),
+            Block(F(1, 2), F(1), F(2, 3), F(1), 4),
+        )
+    )
+    for g in elements:
+        _assert_valid(transform_partition(thirds, g))
+    _assert_valid(compose_partition(thirds, 2, GRID))
+    _assert_valid(compose_partition(GRID, 3, thirds))
+    _assert_valid(bisect(thirds, 1, "y"))
+
+
 def test_bisect_ordinals_track_sorted_order():
     p = build_dyadic([(1, "x")])
     q = bisect(p, 2, "y")
