@@ -6,10 +6,18 @@ milestones (the classical derivation for that configuration); this script
 interpolates the explicit associativity steps between consecutive
 milestones, so the shipped JSON replays one localized rewrite at a time.
 The remaining certificates come from bidirectional search.
+
+    python scripts/build_certificates.py           # rewrite the files
+    python scripts/build_certificates.py --check   # compare, write nothing
+
+With ``--check`` every certificate is rebuilt in memory and compared byte
+for byte with its bundled file; the exit status is 1, with one line per
+differing file on stderr, if any differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -85,8 +93,7 @@ def build_by_search(relation) -> Certificate:
     return result.certificate
 
 
-def main() -> None:
-    CERTS_DIR.mkdir(parents=True, exist_ok=True)
+def build_all() -> dict[str, Certificate]:
     built = {
         "configA": build_config_a(),
         "kock16": build_by_search(KOCK16),
@@ -94,15 +101,45 @@ def main() -> None:
         "configB": build_by_search(CONFIG_B),
         "case2": build_by_search(CASE2),
     }
-    for name, cert in built.items():
+    for cert in built.values():
         assert replay_certificate(cert)
+    return built
+
+
+def differing_files(built: dict[str, Certificate], certs_dir: Path = CERTS_DIR) -> list[str]:
+    """Names of the bundled files whose bytes differ from ``built``."""
+    out = []
+    for name, cert in built.items():
+        path = certs_dir / CERTIFICATE_FILES[name]
+        if not path.is_file() or path.read_bytes() != cert.dump().encode():
+            out.append(path.name)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare the rebuilt certificates with the bundled files; write nothing",
+    )
+    args = parser.parse_args(argv)
+    built = build_all()
+    if args.check:
+        stale = differing_files(built)
+        for name in stale:
+            print(f"differs from its rebuild: {CERTS_DIR / name}", file=sys.stderr)
+        return 1 if stale else 0
+    CERTS_DIR.mkdir(parents=True, exist_ok=True)
+    for name, cert in built.items():
         path = CERTS_DIR / CERTIFICATE_FILES[name]
         path.write_text(cert.dump())
         print(
             f"{name:10} {len(cert.steps):4} steps "
             f"({cert.interchange_count} interchanges) -> {path.name}"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

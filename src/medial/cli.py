@@ -262,6 +262,16 @@ def cmd_search(args) -> int:
     return status
 
 
+def _partition_shaped(text: str) -> bool:
+    """Some line is five fields with an a/2^b coordinate, as partition files
+    are; no monomial has a slash."""
+    for line in text.splitlines():
+        fields = line.split()
+        if len(fields) == 5 and any("/" in f for f in fields[:4]):
+            return True
+    return False
+
+
 def cmd_render(args) -> int:
     try:
         if args.monomial:
@@ -270,7 +280,9 @@ def cmd_render(args) -> int:
             text = Path(args.input).read_text()
             try:
                 part = geometry.parse_partition(text)
-            except geometry.PartitionError:
+            except ValueError:
+                if _partition_shaped(text):
+                    raise
                 part = geometry.realize(parse_monomial(text.strip()))
         else:
             print("error: provide --monomial or --input", file=sys.stderr)

@@ -109,27 +109,6 @@ _RULE_ORDER = (ASSOC_H, ASSOC_V, INTERCHANGE)
 _DIRECTIONS = (FORWARD, BACKWARD)
 
 
-def find_redexes(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> list[RewriteStep]:
-    """Every applicable (rule, direction, position), preorder then rule order."""
-    fams = frozenset(families)
-    out: list[RewriteStep] = []
-
-    def walk(node: Tree, pos: Position) -> None:
-        if is_leaf(node):
-            return
-        for rule in _RULE_ORDER:
-            if rule not in fams:
-                continue
-            for direction in _DIRECTIONS:
-                if _apply_local(node, rule, direction) is not None:
-                    out.append(RewriteStep(rule, direction, pos))
-        walk(node[1], pos + (0,))
-        walk(node[2], pos + (1,))
-
-    walk(t, ())
-    return out
-
-
 def apply_redex(t: Tree, step: RewriteStep) -> Tree:
     node = subtree_at(t, step.position)
     result = _apply_local(node, step.rule, step.direction)
@@ -141,6 +120,7 @@ def apply_redex(t: Tree, step: RewriteStep) -> Tree:
 
 
 def successors(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> Iterator[tuple[RewriteStep, Tree]]:
+    """Every applicable step with its result, preorder then rule order."""
     fams = frozenset(families)
 
     def walk(node: Tree, pos: Position) -> Iterator[tuple[RewriteStep, Tree]]:
@@ -157,6 +137,11 @@ def successors(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> Iterator[tupl
         yield from walk(node[2], pos + (1,))
 
     yield from walk(t, ())
+
+
+def find_redexes(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> list[RewriteStep]:
+    """Every applicable (rule, direction, position), in ``successors`` order."""
+    return [step for step, _ in successors(t, families)]
 
 
 # ---------------------------------------------------------------------------

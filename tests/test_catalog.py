@@ -1,4 +1,8 @@
+import importlib.util
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 from medial import catalog
 from medial.geometry import interior_labels, main_cuts, realize
@@ -82,3 +86,30 @@ def test_bundled_certificates_replay_and_state_their_relations():
 def test_config_a_certificate_has_twenty_interchanges():
     cert = catalog.load_certificate("configA")
     assert cert.interchange_count == 20
+
+
+
+BUILD_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_certificates.py"
+
+
+def test_build_certificates_check_reproduces_bundled_files():
+    # rebuilding every certificate (bidirectional searches included) must
+    # give the bundled bytes, which pins the search order
+    proc = subprocess.run(
+        [sys.executable, str(BUILD_SCRIPT), "--check"], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
+
+
+def test_build_certificates_check_names_a_differing_file(tmp_path):
+    spec = importlib.util.spec_from_file_location("build_certificates", BUILD_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = {name: catalog.load_certificate(name) for name in catalog.CERTIFICATE_FILES}
+    for name, cert in built.items():
+        (tmp_path / catalog.CERTIFICATE_FILES[name]).write_text(cert.dump())
+    assert script.differing_files(built, tmp_path) == []
+    (tmp_path / "bm9.json").write_text(built["bm9"].inverted().dump())
+    (tmp_path / "case2.json").unlink()
+    assert script.differing_files(built, tmp_path) == ["bm9.json", "case2.json"]

@@ -101,6 +101,20 @@ def test_render_rejects_non_dyadic_partition(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
+    # an invalid partition file reports its own error, not a monomial one
+    dup = tmp_path / "dup.txt"
+    dup.write_text("0/2^0 1/2^1 0/2^0 1/2^0 1\n1/2^1 1/2^0 0/2^0 1/2^0 1\n")
+    # five whitespace-separated fields, but a monomial with a missing ')'
+    typo = tmp_path / "typo.txt"
+    typo.write_text("((a h b) v c\n")
+    for src, message in ((dup, "duplicate block labels"), (typo, "unexpected end of input")):
+        assert main(["render", "--input", str(src)]) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_search_monomial_syntax_error(capsys):
     assert main(["search", "--monomial", "((a h b) v c"]) == USAGE
     captured = capsys.readouterr()

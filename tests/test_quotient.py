@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from medial.assoc import alt_strip, binary_representatives, to_alternating
-from medial.catalog import BM9, CONFIG_A
+from medial.assoc import (
+    alt_is_leaf,
+    alt_strip,
+    binary_representatives,
+    enumerate_alternating,
+    to_alternating,
+)
+from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
 from medial.quotient import (
     alt_successors,
+    apply_move,
     check_equivalence,
     expand_move,
     find_commutations,
@@ -19,7 +26,7 @@ from medial.rewrite import (
     replay_certificate,
     successors,
 )
-from medial.trees import H, V, enumerate_shapes, parse_monomial, random_shape, relabel
+from medial.trees import H, V, enumerate_shapes, opposite, parse_monomial, random_shape, relabel
 
 
 def _binary_route_neighbours(a):
@@ -42,6 +49,77 @@ def test_moves_match_binary_enumeration_random_larger():
     for _ in range(25):
         a = to_alternating(random_shape(rng.randint(6, 7), rng))
         assert {s for _, s in alt_successors(a)} == _binary_route_neighbours(a)
+
+
+def _tuple_alt_successors(tree):
+    """The tuple-walking enumeration the interned search replaced: a
+    depth-first walk, local moves of a node before those of its children,
+    children from last to first, each move applied by ``apply_move``."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        if alt_is_leaf(node):
+            continue
+        opp = opposite(node[0])
+        kids = node[1:]
+        for j, child in enumerate(kids):
+            if not alt_is_leaf(child):
+                stack.append((path + (j,), child))
+        for i in range(len(kids) - 1):
+            A, B = kids[i], kids[i + 1]
+            if alt_is_leaf(A) or alt_is_leaf(B):
+                continue
+            if A[0] != opp or B[0] != opp:
+                continue
+            for sa in range(1, len(A) - 1):
+                for sb in range(1, len(B) - 1):
+                    move = (path, i, sa, sb)
+                    yield move, apply_move(tree, move)
+
+
+def _alt_relabel(a, sigma):
+    if alt_is_leaf(a):
+        return sigma[a]
+    return (a[0],) + tuple(_alt_relabel(c, sigma) for c in a[1:])
+
+
+def test_moves_match_tuple_enumeration_in_order():
+    # arity 8 is the first with two sibling subtrees that both have moves,
+    # which pins the order of the children's lists
+    rng = random.Random(24)
+    for n in range(1, 9):
+        for a in enumerate_alternating(n):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            a = _alt_relabel(a, dict(zip(range(1, n + 1), images)))
+            assert list(alt_successors(a)) == list(_tuple_alt_successors(a))
+    for a in enumerate_alternating(6):
+        stripped = alt_strip(a)
+        assert list(alt_successors(stripped)) == list(_tuple_alt_successors(stripped))
+
+
+def test_search_counts_are_pinned():
+    # the breadth-first order decides these counts and the certificates
+    expanded = {KOCK16: 35428, BM9: 125, CONFIG_B: 324, CASE2: 291}
+    for rel, want in expanded.items():
+        assert check_equivalence(rel.lhs, rel.rhs).expanded == want
+    for t in (CONFIG_A.lhs, CONFIG_C.monomial):
+        scan = find_commutations(t)
+        assert (scan.class_size, scan.expanded) == (692, 692)
+
+
+def test_searches_share_no_state_between_calls():
+    first = check_equivalence(BM9.lhs, BM9.rhs)
+    assert check_equivalence(BM9.lhs, BM9.rhs) == first
+    scan = find_commutations(CONFIG_A.lhs)
+    assert find_commutations(BM9.lhs).witnesses
+    assert find_commutations(CONFIG_A.lhs) == scan
+
+
+def test_single_argument_has_no_moves():
+    assert list(alt_successors(1)) == []
+    scan = find_commutations(1)
+    assert (scan.witnesses, scan.exhausted, scan.expanded, scan.class_size) == ((), True, 1, 1)
 
 
 def test_collapse_move():
