@@ -385,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    if getattr(args, "budget", 1) < 1:
+        print(f"error: --budget must be at least 1, got {args.budget}", file=sys.stderr)
+        return USAGE
     return args.func(args)
 
 

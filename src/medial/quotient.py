@@ -9,30 +9,37 @@ the associativity churn, which keeps the big equivalence checks tractable.
 
 Each public search call builds one hash-consing store (Goto 1974;
 Filliatre and Conchon, "Type-safe modular hash-consing", 2006) and drops
-it on return; nothing is cached between calls.
+it on return; nothing is cached between calls.  The search itself handles
+only ints.
 
 * A leaf stays its label, an int >= 0.  A node is a negative int id,
   interned on the key ``(op, child, ...)`` of its child ids, so hashing and
   comparing a key is shallow, and a subtree shared by many states is one
-  id.  A binary monomial is flattened and interned in one pass.
-* Every non-root node memoizes its successor list, in the order of the
-  moves: local moves first, then the moves inside each child, from the
-  last child to the first.  A local entry is ``(new id, i, sa, sb)``; a
-  move inside child j is ``(new id, j, entry of child j)``, so a parent's
-  list shares its children's entries, and a move's path is spelled out
-  only along a traced path.  A child result that collapsed onto the
-  node's own operation is spliced into the node, as ``apply_move`` does.
-  The root's list is the one exception: it is rebuilt from its children's
-  lists on each expansion and never kept, because states far outnumber
-  the subtrees they share.
-* Operation-labelled shapes get ids of their own, computed only for
-  states the search discovers, so "same shape as the start" is an int
-  compare.
+  id.  The index is a dict whose ``__missing__`` interns the key, so a
+  node seen before costs one lookup.  A binary monomial is flattened and
+  interned in one pass.
+* ``_Store.successors(n)`` is a flat list of the ids of ``n``'s
+  neighbours.  Every non-root node memoizes its list; a state's own list
+  is rebuilt from its children's lists on each expansion and never kept,
+  because states far outnumber the subtrees they share.  A child result
+  that collapsed onto the node's own operation is spliced into the node,
+  as ``apply_move`` does.
+* The order contract: ``_Store.successors(n)`` and ``_moves(tree(n))``
+  list the same moves in the same order.  First the local moves of each
+  adjacent pair of non-leaf children, pair by pair, split by split; then
+  the moves inside each child, from the last child to the first.
+* Operation-labelled shapes get ids of their own, computed only for the
+  start and the states the search discovers, so "same shape as the start"
+  is an int compare.
 
 One breadth-first frontier (``_Frontier``) runs both searches:
 ``check_equivalence`` grows two towards each other and
-``find_commutations`` one.  States become nested tuples again only along
-the traced path of a result.
+``find_commutations`` one.  It maps each state to the state that
+discovered it and records no move.  Only the traced path of a result is
+spelled out: the move from a parent to a state is
+``_moves(parent)[successors(parent).index(state)]``, because a state is
+discovered at its first place in its parent's list.  The states on that
+path become nested tuples again.
 
 Every quotient move expands back into explicit binary steps (associativity
 rotations around a single interchange), so search results are delivered as
@@ -114,34 +121,65 @@ def apply_move(tree: AltTree, move: Move) -> AltTree:
     return _apply_at_path(tree, path, i, sa, sb)
 
 
+def _moves(tree: AltTree) -> list[Move]:
+    """The moves of ``tree``, in the order of ``_Store.successors``: the
+    local moves of each adjacent pair of non-leaf children, then the moves
+    inside each child, from the last child to the first."""
+    out: list[Move] = []
+    stack = [] if alt_is_leaf(tree) else [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        kids = node[1:]
+        nodes = [not alt_is_leaf(c) for c in kids]
+        out += [
+            (path, i, sa, sb)
+            for i in range(len(kids) - 1)
+            if nodes[i] and nodes[i + 1]
+            for sa in range(1, len(kids[i]) - 1)
+            for sb in range(1, len(kids[i + 1]) - 1)
+        ]
+        # popped last child first, each child's moves before the next one's
+        stack += [((*path, j), c) for j, c in enumerate(kids) if nodes[j]]
+    return out
+
+
+def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
+    """All single-interchange neighbours of an alternating tree."""
+    for move in _moves(tree):
+        yield move, apply_move(tree, move)
+
+
 # ---------------------------------------------------------------------------
 # Hash-consed states
 # ---------------------------------------------------------------------------
 
-# A successor entry is (new id, i, sa, sb) for a move at the node itself,
-# or (new id, j, entry of child j) for a move inside child j.
-Successor = tuple
+class _Index(dict):
+    """Node key -> node id; looking up a missing key interns it."""
+
+    __slots__ = ("keys", "memo")
+
+    def __init__(self) -> None:
+        self.keys: list[tuple] = []  # key of node id ~k at index k
+        self.memo: list[list[int] | None] = []
+
+    def __missing__(self, key: tuple) -> int:
+        nid = self[key] = ~len(self.keys)
+        self.keys.append(key)
+        self.memo.append(None)
+        return nid
 
 
 class _Store:
     """Interned alternating trees of one search; see the module docstring."""
 
-    __slots__ = ("keys", "index", "memo", "shape_ids", "shape_index")
+    __slots__ = ("index", "keys", "memo", "shape_ids", "shape_index")
 
     def __init__(self) -> None:
-        self.keys: list[tuple] = []  # key of node id ~k at index k
-        self.index: dict[tuple, int] = {}
-        self.memo: list[list[Successor] | None] = []
+        self.index = _Index()
+        self.keys = self.index.keys
+        self.memo = self.index.memo
         self.shape_ids: dict[int, int] = {}
         self.shape_index: dict[tuple, int] = {}
-
-    def node(self, key: tuple) -> int:
-        nid = self.index.get(key)
-        if nid is None:
-            nid = self.index[key] = ~len(self.keys)
-            self.keys.append(key)
-            self.memo.append(None)
-        return nid
 
     def from_binary(self, t: Tree) -> int:
         """Flatten and intern a binary monomial in one pass."""
@@ -158,12 +196,7 @@ class _Store:
                 stack += (sub[2], sub[1])
             else:
                 parts.append(self.from_binary(sub))
-        return self.node((op, *parts))
-
-    def from_alternating(self, a: AltTree) -> int:
-        if alt_is_leaf(a):
-            return a
-        return self.node((a[0], *map(self.from_alternating, a[1:])))
+        return self.index[(op, *parts)]
 
     def tree(self, n: int) -> AltTree:
         if n >= 0:
@@ -183,7 +216,9 @@ class _Store:
         return out
 
     def shape(self, n: int) -> int:
-        """Id of node ``n``'s operation-labelled shape (leaves read 0)."""
+        """Id of ``n``'s operation-labelled shape; every leaf reads 0."""
+        if n >= 0:
+            return 0
         sid = self.shape_ids.get(n)
         if sid is None:
             key = self.keys[~n]
@@ -192,94 +227,69 @@ class _Store:
             self.shape_ids[n] = sid
         return sid
 
-    def _splits(self, n: int) -> list[list[tuple[int, ...]]]:
+    def _splits(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """For k = 1, 2, ...: the first k children of node ``n`` and the
         rest, each as the children it brings to a node of the opposite
         operation.  A lone leaf brings itself, a lone node (which carries
         that operation) its own children, and several children one node
         grouping them under ``n``'s operation."""
-        keys, node = self.keys, self.node
+        keys, index = self.keys, self.index
         key = keys[~n]
-        out = []
-        for k in range(2, len(key)):
-            halves = []
-            for part in (key[1:k], key[k:]):
-                if len(part) > 1:
-                    halves.append((node((key[0], *part)),))
-                elif part[0] < 0:
-                    halves.append(keys[~part[0]][1:])
-                else:
-                    halves.append(part)
-            out.append(halves)
-        return out
+        op, first, last = key[0], key[1], key[-1]
+        first_alone = keys[~first][1:] if first < 0 else (first,)
+        last_alone = keys[~last][1:] if last < 0 else (last,)
+        end = len(key) - 1
+        return [
+            (
+                first_alone if k == 2 else (index[key[:k]],),
+                last_alone if k == end else (index[(op, *key[k:])],),
+            )
+            for k in range(2, len(key))
+        ]
 
-    def successors(self, n: int) -> list[Successor]:
-        """Every single-interchange neighbour of node ``n``, in move order.
+    def successors(self, n: int) -> list[int]:
+        """Ids of every single-interchange neighbour of node ``n``, in the
+        order of ``_moves``.
 
         The lists of ``n``'s descendants are memoized; ``n``'s own is not.
         """
         if n >= 0:
             return []
-        key = self.keys[~n]
-        kids = key[1:]
-        out: list[Successor] = []
-        for i, (a, b) in enumerate(zip(kids, kids[1:])):
-            if a < 0 and b < 0:
-                self._local(out, key, i)
-        for j in reversed(range(len(kids))):
-            child = kids[j]
-            if child < 0:
-                sub = self.memo[~child]
-                if sub is None:
-                    sub = self.memo[~child] = self.successors(child)
-                if sub:
-                    self._lift(out, key, j, sub)
-        return out
-
-    def _local(self, out: list[Successor], key: tuple, i: int) -> None:
-        """Append the moves on children i and i+1 of the node ``key``."""
-        node = self.node
+        index, keys, memo = self.index, self.keys, self.memo
+        key = keys[~n]
         op, kids = key[0], key[1:]
         opp = opposite(op)
-        head, tail = key[: i + 1], kids[i + 2 :]
-        b_splits = self._splits(kids[i + 1])
-        for sa, (p, q) in enumerate(self._splits(kids[i]), 1):
-            for sb, (r, s) in enumerate(b_splits, 1):
-                new = node((opp, node((op, *p, *r)), node((op, *q, *s))))
-                if len(kids) > 2:
-                    new = node((*head, new, *tail))
-                out.append((new, i, sa, sb))
-
-    def _lift(self, out: list[Successor], key: tuple, j: int, sub: list[Successor]) -> None:
-        """Append child j's successors ``sub``, placed in the node ``key``."""
-        keys, node = self.keys, self.node
-        op = key[0]
-        head, tail = key[: j + 1], key[j + 2 :]
-        for entry in sub:
-            c = entry[0]
-            ckey = keys[~c]
-            if ckey[0] == op:  # the child collapsed onto our operation
-                k = head + ckey[1:] + tail
+        wide = len(kids) > 2
+        out: list[int] = []
+        # moves on children i-1 and i; a child's splits serve both its pairs
+        b_splits = None
+        for i in range(1, len(kids)):
+            if kids[i - 1] < 0 and kids[i] < 0:
+                a_splits = b_splits or self._splits(kids[i - 1])
+                b_splits = self._splits(kids[i])
+                head, tail = key[:i], key[i + 2 :]
+                for p, q in a_splits:
+                    for r, s in b_splits:
+                        new = index[(opp, index[(op, *p, *r)], index[(op, *q, *s)])]
+                        out.append(index[(*head, new, *tail)] if wide else new)
             else:
-                k = (*head, c, *tail)
-            out.append((node(k), j, entry))
-
-
-def _move(entry: Successor) -> Move:
-    """Spell out the move of a successor entry."""
-    path: list[int] = []
-    while len(entry) == 3:
-        _, j, entry = entry
-        path.append(j)
-    _, i, sa, sb = entry
-    return tuple(path), i, sa, sb
-
-
-def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
-    """All single-interchange neighbours of an alternating tree."""
-    store = _Store()
-    for entry in store.successors(store.from_alternating(tree)):
-        yield _move(entry), store.tree(entry[0])
+                b_splits = None
+        # moves inside child j, placed in this node
+        for j in reversed(range(len(kids))):
+            child = kids[j]
+            if child >= 0:
+                continue
+            sub = memo[~child]
+            if sub is None:
+                sub = memo[~child] = self.successors(child)
+            head, tail = key[: j + 1], key[j + 2 :]
+            for c in sub:
+                ckey = keys[~c]
+                if ckey[0] == op:  # the child collapsed onto our operation
+                    out.append(index[head + ckey[1:] + tail])
+                else:
+                    out.append(index[(*head, c, *tail)])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +396,37 @@ class _Frontier:
 
     def __init__(self, store: _Store, root: int) -> None:
         self.store = store
-        self.parents: dict[int, tuple[int, Successor] | None] = {root: None}
+        # each state -> the state that discovered it
+        self.parents: dict[int, int | None] = {root: None}
         self.queue: deque[int] = deque([root])
         self.expanded = 0
 
     def expand(self) -> list[int]:
         """Expand the oldest queued state; return the states it discovered,
-        in move order, after recording their parents and queueing them."""
+        in move order, after recording their parent and queueing them."""
         state = self.queue.popleft()
         self.expanded += 1
         parents = self.parents
         new: list[int] = []
-        for entry in self.store.successors(state):
-            nxt = entry[0]
+        for nxt in self.store.successors(state):
             if nxt not in parents:
-                parents[nxt] = (state, entry)
+                parents[nxt] = state
                 new.append(nxt)
         self.queue.extend(new)
         return new
 
     def trace(self, state: int) -> list[tuple[AltTree, Move]]:
-        """Chain of (state, move) pairs from the root to ``state``."""
+        """Chain of (state, move) pairs from the root to ``state``.
+
+        A state was discovered at its first place in its parent's successor
+        list, and ``_moves`` lists the parent's moves in the same order.
+        """
+        store = self.store
         chain: list[tuple[AltTree, Move]] = []
-        while (prev := self.parents[state]) is not None:
-            state, entry = prev
-            chain.append((self.store.tree(state), _move(entry)))
+        while (parent := self.parents[state]) is not None:
+            tree = store.tree(parent)
+            chain.append((tree, _moves(tree)[store.successors(parent).index(state)]))
+            state = parent
         chain.reverse()
         return chain
 
@@ -514,6 +530,7 @@ def find_commutations(
         return _find_commutations_binary(t, frozenset(families), budget)
     store = _Store()
     root = store.from_binary(t)
+    root_shape = store.shape(root)
     search = _Frontier(store, root)
     found: dict[tuple[int, ...], int] = {}
     exhausted = True
@@ -522,7 +539,7 @@ def find_commutations(
             exhausted = False
             break
         for nxt in search.expand():
-            if store.shape(nxt) == store.shape(root):
+            if store.shape(nxt) == root_shape:
                 sigma = dict(zip(store.labels(root), store.labels(nxt)))
                 perm = tuple(sigma[k] for k in sorted(sigma))
                 if perm != tuple(sorted(sigma)) and perm not in found:
@@ -575,7 +592,11 @@ def _find_commutations_binary(
 
 
 def interchange_neighbours_exist(tree: AltTree) -> bool:
-    """True iff some binary representative contains an interchange redex."""
-    for _ in alt_successors(tree):
-        return True
-    return False
+    """True iff some binary representative contains an interchange redex,
+    that is, iff some node has two adjacent non-leaf children."""
+    if alt_is_leaf(tree):
+        return False
+    kids = tree[1:]
+    return any(
+        not alt_is_leaf(a) and not alt_is_leaf(b) for a, b in zip(kids, kids[1:])
+    ) or any(map(interchange_neighbours_exist, kids))

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from medial.cli import FAIL, PASS, USAGE, main
 
 
@@ -213,3 +220,27 @@ def test_verify_config_c_reports_failure(capsys):
     assert main(["verify", "configC-negative"]) == FAIL
     out = capsys.readouterr().out
     assert "witnesses exist" in out
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", [["verify", "bm9"], ["search", "--arity", "4"]])
+def test_budget_below_one_is_a_usage_error(command, budget, capsys):
+    assert main(command + ["--budget", budget]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget") and captured.err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "medial", "verify", "bm9"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == PASS, done.stderr
+    assert "PASS bm9" in done.stdout

@@ -7,10 +7,13 @@ from medial.assoc import (
     alt_strip,
     binary_representatives,
     enumerate_alternating,
+    right_comb,
     to_alternating,
 )
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
 from medial.quotient import (
+    _moves,
+    _Store,
     alt_successors,
     apply_move,
     check_equivalence,
@@ -96,6 +99,24 @@ def test_moves_match_tuple_enumeration_in_order():
     for a in enumerate_alternating(6):
         stripped = alt_strip(a)
         assert list(alt_successors(stripped)) == list(_tuple_alt_successors(stripped))
+
+
+def test_store_successors_follow_moves_in_order():
+    # a traced state's move is read off its index in the parent's successor
+    # list, so the interned lists and the tuple-level moves must agree
+    # entry by entry; one store for all trees also exercises the memo
+    rng = random.Random(25)
+    trees = []
+    for n in range(1, 9):
+        for a in enumerate_alternating(n):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            trees.append(_alt_relabel(a, dict(zip(range(1, n + 1), images))))
+    trees += [alt_strip(a) for a in enumerate_alternating(6)]
+    store = _Store()
+    for t in trees:
+        got = [store.tree(c) for c in store.successors(store.from_binary(right_comb(t)))]
+        assert got == [apply_move(t, m) for m in _moves(t)]
 
 
 def test_search_counts_are_pinned():
