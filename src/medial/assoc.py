@@ -15,7 +15,8 @@ tree, one bracketing per node chosen independently.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .trees import OPS, Tree, is_leaf, opposite
 
@@ -131,8 +132,20 @@ def assoc_class_size(a: AltTree) -> int:
 def enumerate_alternating(n: int, limit: int = 12) -> Iterator[AltTree]:
     """All alternating trees with n leaves and identity labels.
 
-    Counts follow the large Schroder numbers 1, 2, 6, 22, 90, 394, 1806
-    (two little-Schroder families, one per root operation).
+    Counts follow the large Schroder numbers (OEIS A006318): 1, 2, 6, 22,
+    90, 394, 1806, 8558, 41586, 206098, 1037718 and 5293446 for n = 1 to
+    12, two little-Schroder families, one per root operation.
+
+    A tree rooted at ``op`` is ``(op, first) + rest``: ``first`` is a
+    tree rooted at the opposite operation (or a leaf) covering the first
+    leaves, and ``rest`` a sequence of one or more further children.  The
+    order is by the size of ``first``, then ``first``, then ``rest``; a
+    sequence of one child comes after the longer sequences of its size.
+    Each call keeps tables of the rooted trees and of the sequences, keyed
+    by (operation, size, offset of the first leaf), for sizes up to
+    n - 2, and builds every larger tree from them, so the subtrees are
+    shared.  The two largest sizes, n - 1 and n, stream instead of being
+    stored, and the tables are dropped when the generator ends.
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
@@ -141,36 +154,46 @@ def enumerate_alternating(n: int, limit: int = 12) -> Iterator[AltTree]:
     if n == 1:
         yield 1
         return
+    stored = n - 2
+    tables: dict[tuple[str, str, int, int], list[tuple]] = {}
+
+    def table(
+        kind: str, op: str, size: int, offset: int, items: Iterator[tuple]
+    ) -> Iterable[tuple]:
+        """``items``, listed once per key up to size n - 2, else streamed."""
+        if size > stored:
+            return items
+        key = (kind, op, size, offset)
+        listed = tables.get(key)
+        if listed is None:
+            listed = tables[key] = list(items)
+        return listed
+
+    def nodes(op: str, size: int, offset: int, lead: tuple) -> Iterator[tuple]:
+        """``lead`` followed by each sequence of two or more children
+        summing to ``size`` leaves, the first leaf being ``offset + 1``."""
+        other = opposite(op)
+        for first_size in range(1, size):
+            # A streamed ``rests`` has size n - 1, so it meets one ``first``.
+            rests = sequences(op, size - first_size, offset + first_size)
+            for first in rooted(other, first_size, offset):
+                head = lead + (first,)
+                for rest in rests:
+                    yield head + rest
+
+    def rooted(op: str, size: int, offset: int) -> Iterable[AltTree]:
+        """Trees rooted at ``op`` with ``size`` leaves; the leaf if size 1."""
+        if size == 1:
+            return (offset + 1,)
+        return table("rooted", op, size, offset, nodes(op, size, offset, (op,)))
+
+    def sequences(op: str, size: int, offset: int) -> Iterable[tuple[AltTree, ...]]:
+        """Non-top child sequences under ``op``: one or more children."""
+        singles = ((only,) for only in rooted(opposite(op), size, offset))
+        return table("sequence", op, size, offset, chain(nodes(op, size, offset, ()), singles))
+
     for op in OPS:
-        yield from _rooted(op, n, 0)
-
-
-def _rooted(op: str, size: int, offset: int) -> Iterator[AltTree]:
-    """Trees rooted at ``op`` with the given leaf count (size >= 2)."""
-    for parts in _child_sequences(op, size, offset, top=True):
-        yield (op,) + parts
-
-
-def _child_sequences(
-    op: str, size: int, offset: int, top: bool
-) -> Iterator[tuple[AltTree, ...]]:
-    """Sequences of >= 2 (or >= 1 when not top) children summing to ``size``."""
-    low = 2 if top else 1
-    if not top and size == 0:
-        yield ()
-        return
-    for first_size in range(1, size - low + 2):
-        if first_size == 1:
-            firsts: Iterator[AltTree] = iter((offset + 1,))
-        else:
-            firsts = _rooted(opposite(op), first_size, offset)
-        rest_size = size - first_size
-        for first in firsts:
-            if rest_size == 0:
-                yield (first,)
-            else:
-                for rest in _child_sequences(op, rest_size, offset + first_size, top=False):
-                    yield (first,) + rest
+        yield from rooted(op, n, 0)
 
 
 def format_alternating(a: AltTree) -> str:

@@ -28,9 +28,9 @@ only ints.
   list the same moves in the same order.  First the local moves of each
   adjacent pair of non-leaf children, pair by pair, split by split; then
   the moves inside each child, from the last child to the first.
-* Operation-labelled shapes get ids of their own, computed only for the
-  start and the states the search discovers, so "same shape as the start"
-  is an int compare.
+* "Same operation-labelled shape as the start" walks the two states'
+  keys side by side and stops at the first difference; a subtree the two
+  share is one id and is not entered.
 
 One breadth-first frontier (``_Frontier``) runs both searches:
 ``check_equivalence`` grows two towards each other and
@@ -60,6 +60,7 @@ from .rewrite import (
     FORWARD,
     INTERCHANGE,
     Certificate,
+    RewriteError,
     RewriteStep,
     apply_redex,
     assoc_path,
@@ -172,14 +173,12 @@ class _Index(dict):
 class _Store:
     """Interned alternating trees of one search; see the module docstring."""
 
-    __slots__ = ("index", "keys", "memo", "shape_ids", "shape_index")
+    __slots__ = ("index", "keys", "memo")
 
     def __init__(self) -> None:
         self.index = _Index()
         self.keys = self.index.keys
         self.memo = self.index.memo
-        self.shape_ids: dict[int, int] = {}
-        self.shape_index: dict[tuple, int] = {}
 
     def from_binary(self, t: Tree) -> int:
         """Flatten and intern a binary monomial in one pass."""
@@ -215,17 +214,27 @@ class _Store:
                 stack.extend(reversed(self.keys[~m][1:]))
         return out
 
-    def shape(self, n: int) -> int:
-        """Id of ``n``'s operation-labelled shape; every leaf reads 0."""
-        if n >= 0:
-            return 0
-        sid = self.shape_ids.get(n)
-        if sid is None:
-            key = self.keys[~n]
-            skey = (key[0], *[0 if c >= 0 else self.shape(c) for c in key[1:]])
-            sid = self.shape_index.setdefault(skey, ~len(self.shape_index))
-            self.shape_ids[n] = sid
-        return sid
+    def same_shape(self, a: int, b: int) -> bool:
+        """True iff ``a`` and ``b`` have the same operation-labelled shape.
+
+        Walks the two keys in pairs and stops at the first difference: a
+        leaf against a node, another operation or another width.  Equal
+        ids share their whole subtree, so the walk skips them.
+        """
+        keys = self.keys
+        pairs = [(a, b)]
+        while pairs:
+            a, b = pairs.pop()
+            if a == b:
+                continue
+            if a < 0 and b < 0:
+                ka, kb = keys[~a], keys[~b]
+                if ka[0] != kb[0] or len(ka) != len(kb):
+                    return False
+                pairs += zip(ka[1:], kb[1:])
+            elif a < 0 or b < 0:
+                return False
+        return True
 
     def _splits(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """For k = 1, 2, ...: the first k children of node ``n`` and the
@@ -349,11 +358,13 @@ def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTre
     step = RewriteStep(INTERCHANGE, direction, pos)
     after = apply_redex(rep, step)
     v = apply_move(u, move)
-    steps = (
-        assoc_path(right_comb(u), rep)
-        + (step,)
-        + assoc_path(after, right_comb(v))
-    )
+    # right_comb(u) and right_comb(v) are combs already: rotating rep and
+    # after to their combs gives the whole associativity path on each side.
+    comb_rep, rep_to_comb = comb_steps(rep)
+    comb_after, after_to_comb = comb_steps(after)
+    if comb_rep != right_comb(u) or comb_after != right_comb(v):
+        raise RewriteError("trees are not equal modulo associativity")
+    steps = tuple(s.inverted() for s in reversed(rep_to_comb)) + (step,) + after_to_comb
     return steps, v
 
 
@@ -530,7 +541,6 @@ def find_commutations(
         return _find_commutations_binary(t, frozenset(families), budget)
     store = _Store()
     root = store.from_binary(t)
-    root_shape = store.shape(root)
     search = _Frontier(store, root)
     found: dict[tuple[int, ...], int] = {}
     exhausted = True
@@ -539,7 +549,7 @@ def find_commutations(
             exhausted = False
             break
         for nxt in search.expand():
-            if store.shape(nxt) == root_shape:
+            if store.same_shape(nxt, root):
                 sigma = dict(zip(store.labels(root), store.labels(nxt)))
                 perm = tuple(sigma[k] for k in sorted(sigma))
                 if perm != tuple(sorted(sigma)) and perm not in found:

@@ -14,7 +14,7 @@ from medial.assoc import (
     to_alternating,
 )
 from medial.rewrite import ASSOC_FAMILIES, closure
-from medial.trees import H, V, enumerate_shapes, random_shape
+from medial.trees import H, V, enumerate_shapes, opposite, random_shape
 
 
 def test_flattening_examples():
@@ -87,6 +87,51 @@ def test_enumerate_alternating_is_deterministic():
     seen = set(enumerate_alternating(5))
     assert len(seen) == 90
     assert all(alt_leaf_labels(a) == tuple(range(1, 6)) for a in seen)
+
+
+def _recursive_rooted(op, size, offset):
+    # the enumerator before the per-call tables, kept as the order oracle
+    for parts in _recursive_sequences(op, size, offset, top=True):
+        yield (op,) + parts
+
+
+def _recursive_sequences(op, size, offset, top):
+    low = 2 if top else 1
+    if not top and size == 0:
+        yield ()
+        return
+    for first_size in range(1, size - low + 2):
+        if first_size == 1:
+            firsts = iter((offset + 1,))
+        else:
+            firsts = _recursive_rooted(opposite(op), first_size, offset)
+        rest_size = size - first_size
+        for first in firsts:
+            if rest_size == 0:
+                yield (first,)
+            else:
+                for rest in _recursive_sequences(op, rest_size, offset + first_size, top=False):
+                    yield (first,) + rest
+
+
+def _recursive_alternating(n):
+    if n == 1:
+        yield 1
+        return
+    for op in (H, V):
+        yield from _recursive_rooted(op, n, 0)
+
+
+def test_enumerate_alternating_matches_recursive_order():
+    # census draws its inputs by index, so the order is part of the contract
+    for n in range(1, 10):
+        assert list(enumerate_alternating(n)) == list(_recursive_alternating(n))
+
+
+def test_alternating_counts_match_schroder_to_arity_11():
+    expected = {8: 8558, 9: 41586, 10: 206098, 11: 1037718}
+    for n, want in expected.items():
+        assert sum(1 for _ in enumerate_alternating(n)) == want
 
 
 def test_enumerate_alternating_limit():

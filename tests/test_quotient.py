@@ -119,6 +119,28 @@ def test_store_successors_follow_moves_in_order():
         assert got == [apply_move(t, m) for m in _moves(t)]
 
 
+def test_same_shape_agrees_with_stripped_trees():
+    rng = random.Random(26)
+    store = _Store()
+    ids = [store.from_binary(random_shape(rng.randint(1, 9), rng)) for _ in range(300)]
+    # a shape that recurs with other labels, so that true answers occur
+    ids += [store.from_binary(relabel(t, {1: 2, 2: 1})) for t in (BM9.lhs, CONFIG_A.lhs)]
+    ids += [store.from_binary(BM9.lhs), store.from_binary(CONFIG_A.lhs)]
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(3000)]
+    pairs += [(a, b) for a in ids[-4:] for b in ids[-4:]]
+    leaf, node = 1, store.from_binary((H, 1, 2))
+    wide = store.from_binary((H, 1, (H, 2, 3)))
+    pairs += [(node, node), (leaf, node), (node, leaf), (node, wide), (leaf, 2)]
+    answers = set()
+    for a, b in pairs:
+        want = alt_strip(store.tree(a)) == alt_strip(store.tree(b))
+        assert store.same_shape(a, b) == want
+        answers.add(want)
+    assert answers == {True, False}
+    assert not store.same_shape(node, wide)
+    assert store.same_shape(node, node) and store.same_shape(leaf, 2)
+
+
 def test_search_counts_are_pinned():
     # the breadth-first order decides these counts and the certificates
     expanded = {KOCK16: 35428, BM9: 125, CONFIG_B: 324, CASE2: 291}
