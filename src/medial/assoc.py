@@ -18,9 +18,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .trees import OPS, Tree, is_leaf, opposite
+from .trees import OPS, Tree, catalan, is_leaf, opposite
 
 AltTree = int | tuple
+ALTERNATING_ARITY_LIMIT = 12
 
 
 def alt_is_leaf(a: AltTree) -> bool:
@@ -119,8 +120,6 @@ def right_comb(a: AltTree) -> Tree:
 
 def assoc_class_size(a: AltTree) -> int:
     """Number of binary representatives (product of Catalan factors)."""
-    from .trees import catalan
-
     if alt_is_leaf(a):
         return 1
     size = catalan(len(a) - 2)
@@ -129,7 +128,7 @@ def assoc_class_size(a: AltTree) -> int:
     return size
 
 
-def enumerate_alternating(n: int, limit: int = 12) -> Iterator[AltTree]:
+def enumerate_alternating(n: int) -> Iterator[AltTree]:
     """All alternating trees with n leaves and identity labels.
 
     Counts follow the large Schroder numbers (OEIS A006318): 1, 2, 6, 22,
@@ -149,8 +148,8 @@ def enumerate_alternating(n: int, limit: int = 12) -> Iterator[AltTree]:
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {limit}")
+    if n > ALTERNATING_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the enumeration limit {ALTERNATING_ARITY_LIMIT}")
     if n == 1:
         yield 1
         return

@@ -40,6 +40,20 @@ def _worst(a: int, b: int) -> int:
     return max(a, b)
 
 
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when there is none.
+    PASS, or USAGE with one stderr line when the file cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return PASS
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    return PASS
+
+
 def cmd_count(args) -> int:
     n = args.arity
     try:
@@ -49,7 +63,7 @@ def cmd_count(args) -> int:
             lines = [f"vertices {len(graph.vertices)}"]
             lines += [f"{i} {j}" for i, j in sorted(graph.edges)]
             Path(args.graph_out).write_text("\n".join(lines) + "\n")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     expected = {
@@ -254,12 +268,7 @@ def cmd_search(args) -> int:
                 f"monomial={format_monomial(rep)}"
             )
     lines.append(f"examined {examined} candidates, pruned {skipped}")
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(report)
-    else:
-        sys.stdout.write(report)
-    return status
+    return _emit("\n".join(lines) + "\n", args.out) or status
 
 
 def _partition_shaped(text: str) -> bool:
@@ -291,11 +300,7 @@ def cmd_render(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return PASS
+    return _emit(text, args.out)
 
 
 def _slice_bounds(text: str) -> tuple[int, int]:

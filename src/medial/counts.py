@@ -2,7 +2,8 @@
 
 Vendored expected values (no network lookups):
 
-    alternating trees by arity   1, 2, 6, 22, 90, 394, 1806   (OEIS A006318)
+    alternating trees by arity   1, 2, 6, 22, 90, 394, 1806, 8558, 41586,
+                                 206098, 1037718, 5293446     (OEIS A006318)
     isolated vertices            1, 2, 6, 20, 70, 254, 948    (OEIS A078482)
 
 The interchange graph has one vertex per unlabeled alternating tree, with
@@ -28,10 +29,12 @@ from .trees import (
     with_identity_labels,
 )
 
-ALTERNATING_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 90, 6: 394, 7: 1806}
+ALTERNATING_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 90, 6: 394, 7: 1806, 8: 8558, 9: 41586,
+                      10: 206098, 11: 1037718, 12: 5293446}
 ISOLATED_COUNTS = {1: 1, 2: 2, 3: 6, 4: 20, 5: 70, 6: 254, 7: 948}
 
 GRAPH_ARITY_LIMIT = 8
+FIBER_CHECK_ARITY_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class InterchangeGraph:
         return tuple(i for i in range(len(self.vertices)) if i not in touched)
 
 
-def interchange_graph(n: int, limit: int = GRAPH_ARITY_LIMIT) -> InterchangeGraph:
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the graph limit {limit}")
+def interchange_graph(n: int) -> InterchangeGraph:
+    if n > GRAPH_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
     vertices = tuple(alt_strip(a) for a in enumerate_alternating(n))
     index = {v: i for i, v in enumerate(vertices)}
     edges: set[tuple[int, int]] = set()
@@ -61,10 +64,10 @@ def interchange_graph(n: int, limit: int = GRAPH_ARITY_LIMIT) -> InterchangeGrap
     return InterchangeGraph(vertices, frozenset(edges))
 
 
-def isolated_count(n: int, limit: int = GRAPH_ARITY_LIMIT) -> int:
+def isolated_count(n: int) -> int:
     """Vertices admitting no interchange application at all."""
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the graph limit {limit}")
+    if n > GRAPH_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
     return sum(
         1
         for a in enumerate_alternating(n)
@@ -114,11 +117,11 @@ class FiberEquivalenceReport:
         return self.ok
 
 
-def verify_fiber_equivalence(n: int, limit: int = 6) -> FiberEquivalenceReport:
+def verify_fiber_equivalence(n: int) -> FiberEquivalenceReport:
     """Check that interchange-only closures coincide with the fibers of the
     geometric realization, shape by shape."""
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the check limit {limit}")
+    if n > FIBER_CHECK_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the check limit {FIBER_CHECK_ARITY_LIMIT}")
     nontrivial: list[tuple[Tree, ...]] = []
     count = 0
     ok = True

@@ -41,6 +41,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 X_AXIS = "x"
 Y_AXIS = "y"
+PARTITION_ARITY_LIMIT = 8
 
 
 class PartitionError(ValueError):
@@ -660,14 +661,14 @@ def parse_partition(text: str) -> BlockPartition:
 # Enumeration of dyadic partitions
 # ---------------------------------------------------------------------------
 
-def enumerate_partitions(n: int, limit: int = 8) -> Iterator[BlockPartition]:
+def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
     """All distinct unlabeled dyadic partitions with n blocks (BFS over
     bisection sequences, deduplicated), in lexicographic order of their
     block coordinates."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {limit}")
+    if n > PARTITION_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the enumeration limit {PARTITION_ARITY_LIMIT}")
     level = {unit_square(label=None)}
     for _ in range(n - 1):
         level = {

@@ -32,11 +32,12 @@ only ints.
   keys side by side and stops at the first difference; a subtree the two
   share is one id and is not entered.
 
-One breadth-first frontier (``_Frontier``) runs both searches:
-``check_equivalence`` grows two towards each other and
-``find_commutations`` one.  It maps each state to the state that
-discovered it and records no move.  Only the traced path of a result is
-spelled out: the move from a parent to a state is
+Both searches run on ``rewrite.Frontier``, the package's one
+breadth-first search, over ``_Store.successors``: ``check_equivalence``
+grows two frontiers towards each other and ``find_commutations`` one.  A
+frontier maps each state to the state that discovered it and records no
+move.  Only the traced path of a result is spelled out (``_trace``): the
+move from a parent to a state is
 ``_moves(parent)[successors(parent).index(state)]``, because a state is
 discovered at its first place in its parent's list.  The states on that
 path become nested tuples again.
@@ -48,8 +49,8 @@ ordinary replayable certificates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator
 
 from .assoc import AltTree, alt_is_leaf, right_comb
@@ -60,14 +61,16 @@ from .rewrite import (
     FORWARD,
     INTERCHANGE,
     Certificate,
+    Frontier,
     RewriteError,
     RewriteStep,
     apply_redex,
     assoc_path,
     certificate_from_path,
+    closure,
     comb_steps,
 )
-from .trees import Position, Tree, V, arity, is_leaf, leaf_labels, opposite, relabel
+from .trees import Position, Tree, V, arity, is_leaf, leaf_labels, opposite, relabel, strip_labels
 
 # A move is (path to the node, child index i, split of child i, split of
 # child i+1); the node's operation determines the interchange direction.
@@ -400,46 +403,17 @@ class EquivalenceResult:
         return self.found or self.proved_distinct
 
 
-class _Frontier:
-    """Breadth-first search from one root over interned states."""
+def _trace(store: _Store, search: Frontier, state: int) -> list[tuple[AltTree, Move]]:
+    """Chain of (state, move) pairs from the search's root to ``state``.
 
-    __slots__ = ("store", "parents", "queue", "expanded")
-
-    def __init__(self, store: _Store, root: int) -> None:
-        self.store = store
-        # each state -> the state that discovered it
-        self.parents: dict[int, int | None] = {root: None}
-        self.queue: deque[int] = deque([root])
-        self.expanded = 0
-
-    def expand(self) -> list[int]:
-        """Expand the oldest queued state; return the states it discovered,
-        in move order, after recording their parent and queueing them."""
-        state = self.queue.popleft()
-        self.expanded += 1
-        parents = self.parents
-        new: list[int] = []
-        for nxt in self.store.successors(state):
-            if nxt not in parents:
-                parents[nxt] = state
-                new.append(nxt)
-        self.queue.extend(new)
-        return new
-
-    def trace(self, state: int) -> list[tuple[AltTree, Move]]:
-        """Chain of (state, move) pairs from the root to ``state``.
-
-        A state was discovered at its first place in its parent's successor
-        list, and ``_moves`` lists the parent's moves in the same order.
-        """
-        store = self.store
-        chain: list[tuple[AltTree, Move]] = []
-        while (parent := self.parents[state]) is not None:
-            tree = store.tree(parent)
-            chain.append((tree, _moves(tree)[store.successors(parent).index(state)]))
-            state = parent
-        chain.reverse()
-        return chain
+    A state was discovered at its first place in its parent's successor
+    list, and ``_moves`` lists the parent's moves in the same order.
+    """
+    chain: list[tuple[AltTree, Move]] = []
+    for parent, child in pairwise(search.path(state)):
+        tree = store.tree(parent)
+        chain.append((tree, _moves(tree)[store.successors(parent).index(child)]))
+    return chain
 
 
 def check_equivalence(
@@ -462,7 +436,7 @@ def check_equivalence(
         steps = assoc_path(t1, t2)
         return EquivalenceResult(Certificate(t1, steps, t2), False, 0)
 
-    sides = (_Frontier(store, u1), _Frontier(store, u2))
+    sides = (Frontier(store.successors, u1), Frontier(store.successors, u2))
 
     def expanded() -> int:
         return sides[0].expanded + sides[1].expanded
@@ -477,8 +451,8 @@ def check_equivalence(
                 return EquivalenceResult(None, False, expanded())
             for nxt in mine.expand():
                 if nxt in other.parents:
-                    fwd_steps = expand_path(t1, sides[0].trace(nxt))
-                    bwd_steps = expand_path(t2, sides[1].trace(nxt))
+                    fwd_steps = expand_path(t1, _trace(store, sides[0], nxt))
+                    bwd_steps = expand_path(t2, _trace(store, sides[1], nxt))
                     total = fwd_steps + tuple(s.inverted() for s in reversed(bwd_steps))
                     cert = certificate_from_path(t1, total)
                     assert cert.final == t2
@@ -541,24 +515,19 @@ def find_commutations(
         return _find_commutations_binary(t, frozenset(families), budget)
     store = _Store()
     root = store.from_binary(t)
-    search = _Frontier(store, root)
+    search = Frontier(store.successors, root)
+    exhausted = search.run(budget)
     found: dict[tuple[int, ...], int] = {}
-    exhausted = True
-    while search.queue:
-        if search.expanded >= budget:
-            exhausted = False
-            break
-        for nxt in search.expand():
-            if store.same_shape(nxt, root):
-                sigma = dict(zip(store.labels(root), store.labels(nxt)))
-                perm = tuple(sigma[k] for k in sorted(sigma))
-                if perm != tuple(sorted(sigma)) and perm not in found:
-                    found[perm] = nxt
+    for state in search.parents:  # in discovery order
+        # an interned state other than the root is never the identity
+        if state != root and store.same_shape(state, root):
+            sigma = dict(zip(store.labels(root), store.labels(state)))
+            found.setdefault(tuple(sigma[k] for k in sorted(sigma)), state)
     witnesses = []
     for perm, state in sorted(found.items()):
         sigma = {i + 1: img for i, img in enumerate(perm)}
         target = relabel(t, sigma)
-        steps = expand_path(t, search.trace(state))
+        steps = expand_path(t, _trace(store, search, state))
         _, target_rot = comb_steps(target)
         total = steps + tuple(s.inverted() for s in reversed(target_rot))
         cert = certificate_from_path(t, total)
@@ -575,10 +544,7 @@ def find_commutations(
 def _find_commutations_binary(
     t: Tree, families: frozenset[str], budget: int
 ) -> CommutationScan:
-    from .rewrite import closure
-    from .trees import strip_labels
-
-    result = closure(t, families=families, budget=budget, keep_parents=True)
+    result = closure(t, families=families, budget=budget)
     shape = strip_labels(t)
     labels = leaf_labels(t)
     witnesses = []

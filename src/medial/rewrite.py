@@ -6,9 +6,11 @@ Three rule families, each usable in both directions:
     assoc_v      (p v q) v r  <->  p v (q v r)
     interchange  (p h q) v (r h s)  <->  (p v r) h (q v s)
 
-Closures are breadth-first searches deduplicated by the tree value itself
-(nested tuples hash cheaply); certificates record localized steps that any
-independent implementation can replay bit-exactly.
+``Frontier`` is the package's one breadth-first search: ``closure`` runs
+it over binary monomials, deduplicated by the tree value itself (nested
+tuples hash cheaply), and ``quotient`` runs it over interned alternating
+trees.  Certificates record localized steps that any independent
+implementation can replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import pairwise
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .trees import (
     H,
@@ -148,41 +151,76 @@ def find_redexes(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> list[Rewrit
 # Closure
 # ---------------------------------------------------------------------------
 
+class Frontier:
+    """Breadth-first search from one root over ``successors(state)``, which
+    lists a state's neighbours in a fixed order.  ``parents`` maps each
+    state to the state that discovered it (the root to None), so a state is
+    discovered at its first place in its parent's list."""
+
+    __slots__ = ("successors", "parents", "queue", "expanded")
+
+    def __init__(self, successors: Callable[[Hashable], Iterable], root: Hashable) -> None:
+        self.successors = successors
+        self.parents: dict = {root: None}
+        self.queue: deque = deque([root])
+        self.expanded = 0
+
+    def expand(self) -> list:
+        """Expand the oldest queued state; return the states it discovered,
+        in successor order, after recording their parent and queueing them."""
+        state = self.queue.popleft()
+        self.expanded += 1
+        parents = self.parents
+        new = []
+        for nxt in self.successors(state):
+            if nxt not in parents:
+                parents[nxt] = state
+                new.append(nxt)
+        self.queue.extend(new)
+        return new
+
+    def run(self, budget: int) -> bool:
+        """Expand until the queue is empty (True, exhausted) or ``budget``
+        states have been expanded in all (False)."""
+        while self.queue:
+            if self.expanded >= budget:
+                return False
+            self.expand()
+        return True
+
+    def path(self, state: Hashable) -> list:
+        """The states from the root to ``state``."""
+        out = [state]
+        while (state := self.parents[state]) is not None:
+            out.append(state)
+        return out[::-1]
+
+
 @dataclass
 class ClosureResult:
     members: frozenset[Tree]
     exhausted: bool
     expanded: int
-    frontier_peak: int
-    edges: tuple[tuple[Tree, RewriteStep, Tree], ...] | None = None
-    parents: dict | None = None
+    families: frozenset[str]
+    search: Frontier = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def path_to(self, target: Tree) -> list[RewriteStep]:
-        """Steps from the closure root to a member (requires keep_parents)."""
-        if self.parents is None:
-            raise RewriteError("closure was run without parent tracking")
-        steps: list[RewriteStep] = []
-        node = target
-        while True:
-            prev = self.parents[node]
-            if prev is None:
-                break
-            parent, step = prev
-            steps.append(step)
-            node = parent
-        steps.reverse()
-        return steps
+        """Steps from the closure root to a member.  Each is the first step
+        from its tree that yields the next tree on the path, the one the
+        search discovered that tree by."""
+        return [
+            next(step for step, r in successors(u, self.families) if r == v)
+            for u, v in pairwise(self.search.path(target))
+        ]
 
 
 def closure(
     t: Tree,
     families: Iterable[str] = ALL_FAMILIES,
     budget: int = DEFAULT_BUDGET,
-    keep_edges: bool = False,
-    keep_parents: bool = False,
 ) -> ClosureResult:
     """Breadth-first rewrite closure of t under the enabled families.
 
@@ -191,36 +229,16 @@ def closure(
     and the leaf multiset, so members all share t's leaves.
     """
     fams = frozenset(families)
-    start_leaves = tuple(sorted(leaf_labels(t)))
-    parents: dict[Tree, tuple[Tree, RewriteStep] | None] = {t: None}
-    edges: list[tuple[Tree, RewriteStep, Tree]] = []
-    queue: deque[Tree] = deque([t])
-    expanded = 0
-    peak = 1
-    exhausted = True
-    while queue:
-        if expanded >= budget:
-            exhausted = False
-            break
-        node = queue.popleft()
-        expanded += 1
-        for step, result in successors(node, fams):
-            if __debug__:
-                assert tuple(sorted(leaf_labels(result))) == start_leaves
-            if keep_edges:
-                edges.append((node, step, result))
-            if result not in parents:
-                parents[result] = (node, step)
-                queue.append(result)
-        peak = max(peak, len(queue))
-    return ClosureResult(
-        members=frozenset(parents),
-        exhausted=exhausted,
-        expanded=expanded,
-        frontier_peak=peak,
-        edges=tuple(edges) if keep_edges else None,
-        parents=parents if keep_parents else None,
-    )
+    start_leaves = sorted(leaf_labels(t))
+
+    def neighbours(u: Tree) -> list[Tree]:
+        out = [r for _, r in successors(u, fams)]
+        assert all(sorted(leaf_labels(r)) == start_leaves for r in out)
+        return out
+
+    search = Frontier(neighbours, t)
+    exhausted = search.run(budget)
+    return ClosureResult(frozenset(search.parents), exhausted, search.expanded, fams, search)
 
 
 # ---------------------------------------------------------------------------

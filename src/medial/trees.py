@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 H = "h"
 V = "v"
 OPS = (H, V)
+SHAPE_ARITY_LIMIT = 10
 
 Tree = int | tuple
 Position = tuple[int, ...]
@@ -368,12 +369,12 @@ def shape_count(n: int) -> int:
     return 2 ** (n - 1) * catalan(n - 1)
 
 
-def enumerate_shapes(n: int, limit: int = 10) -> Iterator[Tree]:
+def enumerate_shapes(n: int) -> Iterator[Tree]:
     """All operation-labeled shapes with identity leaf labels, in a fixed order."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    if n > limit:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {limit}")
+    if n > SHAPE_ARITY_LIMIT:
+        raise ValueError(f"arity {n} exceeds the enumeration limit {SHAPE_ARITY_LIMIT}")
 
     def go(size: int, offset: int) -> Iterator[Tree]:
         if size == 1:

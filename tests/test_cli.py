@@ -193,6 +193,23 @@ def test_count_graph_out(tmp_path, capsys):
     assert len(lines) == 2  # exactly one edge at arity 4
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.txt")
+    for argv in (
+        ["count", "--arity", "4", "--graph-out", out],
+        ["search", "--arity", "4", "--out", out],
+        ["render", "--monomial", "(a h b)", "--out", out],
+    ):
+        assert main(argv) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_count_checks_schroder_number_at_arity_8(capsys):
+    assert main(["count", "--arity", "8"]) == PASS
+    assert "assoc_classes      8558  ok" in capsys.readouterr().out
+
+
 def test_render_unit_square_single_box(capsys):
     assert main(["render", "--monomial", "x1", "--format", "ascii"]) == PASS
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from medial.assoc import right_comb, to_alternating
 from medial.rewrite import (
+    ALL_FAMILIES,
     ASSOC_FAMILIES,
     ASSOC_H,
     FORWARD,
@@ -94,36 +95,43 @@ def test_closure_budget_reporting():
 def test_closure_is_schedule_independent():
     # the member set never depends on expansion order; compare against a
     # stack-based (depth-first) dedup walk
-    t = parse_monomial("(((a h b) h c) v (d h e))")
-    bfs = closure(t).members
-    seen = {t}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        for _, nxt in successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    assert bfs == frozenset(seen)
-
-
-def test_closure_edge_recording():
-    t = parse_monomial("((a h b) v (c h d))")
-    result = closure(t, keep_edges=True)
-    assert result.edges
-    for src, step, dst in result.edges:
-        assert apply_redex(src, step) == dst
-        assert src in result.members and dst in result.members
+    cases = [
+        ("(((a h b) h c) v (d h e))", ALL_FAMILIES),
+        ("(((a h b) h c) v (d h e))", INTERCHANGE_ONLY),
+        ("((((a h b) h c) h d) v ((e v f) v g))", ASSOC_FAMILIES),
+        ("((a h b) v ((((c h d) h e) v f) h g))", ALL_FAMILIES),  # seven blocks
+    ]
+    for text, families in cases:
+        t = parse_monomial(text)
+        bfs = closure(t, families=families).members
+        seen = {t}
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            for _, nxt in successors(node, families):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        assert bfs == frozenset(seen), text
 
 
 def test_closure_parent_paths_replay():
     t = parse_monomial("(((a h b) h c) v (d h e))")
-    result = closure(t, keep_parents=True)
-    for member in result.members:
-        steps = result.path_to(member)
-        cert = certificate_from_path(t, steps)
-        assert cert.final == member
-        assert replay_certificate(cert)
+    wide = parse_monomial("((a h b) v ((c h d) v ((e h f) v (g h i))))")
+    truncated = closure(wide, budget=3)  # members found but never expanded
+    assert not truncated.exhausted and len(truncated) > truncated.expanded
+    cases = [
+        (t, closure(t)),
+        (wide, truncated),
+        (wide, closure(wide, families=INTERCHANGE_ONLY)),
+    ]
+    for start, result in cases:
+        for member in result.members:
+            steps = result.path_to(member)
+            assert {s.rule for s in steps} <= result.families
+            cert = certificate_from_path(start, steps)
+            assert cert.final == member
+            assert replay_certificate(cert)
 
 
 def test_certificate_json_round_trip():
