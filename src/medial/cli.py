@@ -220,26 +220,33 @@ def cmd_search(args) -> int:
     if not args.monomial and args.arity is None:
         print("error: provide --arity or --monomial", file=sys.stderr)
         return USAGE
+    if args.monomial and args.arity is not None:
+        print("error: give --arity or --monomial, not both", file=sys.stderr)
+        return USAGE
     try:
+        slices = None if args.slices is None else _slice_bounds(args.slices)
         if args.monomial:
-            candidates = [geometry.realize(parse_monomial(args.monomial))]
+            part = geometry.realize(parse_monomial(args.monomial))
+            keep = not args.require_main_cuts or len(geometry.main_cuts(part)) == 2
+            candidates = [part] if keep else []
+            total = 1
         else:
-            candidates = [
-                p.with_lex_labels() for p in geometry.enumerate_partitions(args.arity)
-            ]
+            if args.require_main_cuts:
+                unlabeled = geometry.grid_partitions(args.arity)
+            else:
+                unlabeled = geometry.enumerate_partitions(args.arity)
+            candidates = [p.with_lex_labels() for p in unlabeled]
+            total = geometry.partition_count(args.arity)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    examined = skipped = 0
+    examined, skipped = 0, total - len(candidates)
     for part in candidates:
-        if args.require_main_cuts and len(geometry.main_cuts(part)) != 2:
-            skipped += 1
-            continue
         if len(geometry.interior_labels(part)) < args.min_interior:
             skipped += 1
             continue
-        if args.slices:
-            lo, hi = args.slices
+        if slices is not None:
+            lo, hi = slices
             ok = True
             for direction in (geometry.HORIZONTAL, geometry.VERTICAL):
                 if direction not in geometry.main_cuts(part):
@@ -304,8 +311,11 @@ def cmd_render(args) -> int:
 
 
 def _slice_bounds(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    """``LO:HI`` as two ints with 0 <= LO <= HI; ValueError otherwise."""
+    lo, sep, hi = text.partition(":")
+    if sep and lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi):
+        return int(lo), int(hi)
+    raise ValueError(f"--slices must be LO:HI with 0 <= LO <= HI, got {text!r}")
 
 
 def _rule_families(text: str) -> frozenset[str]:
@@ -366,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--min-interior", type=int, default=0)
     p_search.add_argument(
         "--slices",
-        type=_slice_bounds,
         default=None,
         metavar="LO:HI",
         help="require between LO and HI parallel slices in each direction",

@@ -16,10 +16,10 @@ cells on first use.
 The area, overlap and duplicate-label checks run where input comes in:
 ``BlockPartition(blocks)`` and ``parse_partition``.  ``realize``,
 ``hjoin``, ``vjoin``, ``bisect``, ``compose_partition``,
-``transform_partition``, ``with_lex_labels``, ``unlabeled`` and
-``enumerate_partitions`` build valid partitions from valid ones by
-construction and skip them; ``realize``, ``hjoin`` and ``vjoin`` keep the
-labels they are given, so those must be distinct.
+``transform_partition``, ``with_lex_labels``, ``unlabeled``,
+``enumerate_partitions`` and ``grid_partitions`` build valid partitions
+from valid ones by construction and skip them; ``realize``, ``hjoin`` and
+``vjoin`` keep the labels they are given, so those must be distinct.
 """
 
 from __future__ import annotations
@@ -661,14 +661,29 @@ def parse_partition(text: str) -> BlockPartition:
 # Enumeration of dyadic partitions
 # ---------------------------------------------------------------------------
 
-def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
-    """All distinct unlabeled dyadic partitions with n blocks (BFS over
-    bisection sequences, deduplicated), in lexicographic order of their
-    block coordinates."""
+def _check_partition_arity(n: int) -> None:
     if n < 1:
         raise ValueError("arity must be >= 1")
     if n > PARTITION_ARITY_LIMIT:
         raise ValueError(f"arity {n} exceeds the enumeration limit {PARTITION_ARITY_LIMIT}")
+
+
+def _by_coordinates(parts) -> list[BlockPartition]:
+    """The partitions in lexicographic order of their block coordinates."""
+    den = max((part.den for part in parts), default=1)
+
+    def coordinates(part: BlockPartition) -> tuple[int, ...]:
+        k = den // part.den
+        return tuple(v * k for c in part.cells for v in c[:4])
+
+    return sorted(parts, key=coordinates)
+
+
+def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
+    """All distinct unlabeled dyadic partitions with n blocks (BFS over
+    bisection sequences, deduplicated), in lexicographic order of their
+    block coordinates."""
+    _check_partition_arity(n)
     level = {unit_square(label=None)}
     for _ in range(n - 1):
         level = {
@@ -677,10 +692,41 @@ def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
             for ordinal in range(1, len(part) + 1)
             for axis in (X_AXIS, Y_AXIS)
         }
-    den = max(part.den for part in level)
+    yield from _by_coordinates(level)
 
-    def coordinates(part: BlockPartition) -> tuple[int, ...]:
-        k = den // part.den
-        return tuple(v * k for c in part.cells for v in c[:4])
 
-    yield from sorted(level, key=coordinates)
+def grid_partitions(n: int) -> list[BlockPartition]:
+    """The unlabeled dyadic partitions with n blocks that have both main
+    cuts, in the order of ``enumerate_partitions``.
+
+    Each is ``vjoin(hjoin(sw, se), hjoin(nw, ne))`` for exactly one
+    quadruple of dyadic quadrants, so they are built from the quadrants and
+    the rest of the arity-n partitions is never made.
+    """
+    _check_partition_arity(n)
+    quadrants = {k: list(enumerate_partitions(k)) for k in range(1, n - 2)}
+    # halves[m]: the m-block partitions with a vertical main cut
+    halves = {
+        m: [hjoin(p, q) for a in range(1, m) for p in quadrants[a] for q in quadrants[m - a]]
+        for m in range(2, n - 1)
+    }
+    return _by_coordinates(
+        [vjoin(s, t) for m in range(2, n - 1) for s in halves[m] for t in halves[n - m]]
+    )
+
+
+def partition_count(n: int) -> int:
+    """The number of dyadic partitions with n blocks, without building them.
+
+    A partition with a vertical main cut is ``hjoin(p, q)`` for exactly one
+    pair of dyadic partitions, so there are V(n) = sum D(k) D(n - k) of
+    them, as many with a horizontal one, and B(n) = sum V(k) V(n - k) with
+    both; every partition with more than one block has one or the other,
+    so D(n) = 2 V(n) - B(n).
+    """
+    _check_partition_arity(n)
+    d, v = [0, 1], [0, 0]
+    for m in range(2, n + 1):
+        v.append(sum(d[k] * d[m - k] for k in range(1, m)))
+        d.append(2 * v[m] - sum(v[k] * v[m - k] for k in range(1, m)))
+    return d[n]

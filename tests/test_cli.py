@@ -153,6 +153,40 @@ def test_search_with_slice_bounds(capsys):
     assert "examined" in out
 
 
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["--arity", "7"], "examined 380 candidates, pruned 7112"),
+        (["--arity", "6", "--no-require-main-cuts"], "examined 1232 candidates, pruned 0"),
+        (["--arity", "6", "--min-interior", "1"], "examined 8 candidates, pruned 1224"),
+        (["--arity", "6", "--slices", "2:3"], "examined 56 candidates, pruned 1176"),
+        (["--arity", "2"], "examined 0 candidates, pruned 2"),
+        (["--monomial", "(((a h b) v (c h d)) h e)"], "examined 0 candidates, pruned 1"),
+    ],
+)
+def test_search_reports(argv, report, capsys):
+    assert main(["search", *argv]) == PASS
+    assert capsys.readouterr().out == report + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--arity", "0"], "arity must be >= 1"),
+        (["--arity", "9"], "arity 9 exceeds the enumeration limit 8"),
+        (["--arity", "3", "--slices", "5:2"], "--slices must be LO:HI"),
+        (["--arity", "3", "--slices=-1:3"], "--slices must be LO:HI"),
+        (["--arity", "3", "--slices", "2"], "--slices must be LO:HI"),
+        (["--arity", "4", "--monomial", "((a h b) v (c h d))"], "give --arity or --monomial"),
+    ],
+)
+def test_search_usage_errors(argv, message, capsys):
+    assert main(["search", *argv]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_search_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["search", "--arity", "5", "--out", str(a)]) == PASS

@@ -25,6 +25,7 @@ from medial.geometry import (
     fiber,
     format_dyadic,
     format_partition,
+    grid_partitions,
     hjoin,
     interior_labels,
     is_dyadic,
@@ -32,6 +33,7 @@ from medial.geometry import (
     main_cuts,
     parse_dyadic,
     parse_partition,
+    partition_count,
     primary_cuts_and_slices,
     realize,
     transform_partition,
@@ -283,6 +285,19 @@ def test_enumerate_partitions_counts():
     assert sum(1 for _ in enumerate_partitions(2)) == 2
     assert sum(1 for _ in enumerate_partitions(3)) == 8
     assert sum(1 for _ in enumerate_partitions(4)) == 39
+
+
+def test_grid_partitions_are_the_enumeration_with_both_main_cuts():
+    # built from the four quadrants, order included
+    for n in range(1, 8):
+        every = list(enumerate_partitions(n))
+        assert grid_partitions(n) == [p for p in every if len(main_cuts(p)) == 2]
+        assert partition_count(n) == len(every)
+    assert len(grid_partitions(8)) == 2568
+    assert partition_count(8) == 47082
+    for n in (0, 9):
+        with pytest.raises(ValueError):
+            grid_partitions(n)
 
 
 def _assert_valid(p):
