@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .rewrite import Certificate
-from .trees import Tree, parse_monomial
+from .trees import Tree, leaf_labels, parse_monomial
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,10 @@ class Relation:
 
     @property
     def rhs(self) -> Tree:
-        table: dict[str, int] = {}
-        parse_monomial(self.lhs_text, names=table)
-        return parse_monomial(self.rhs_text, names=table)
+        return parse_monomial(self.rhs_text, names=self.names)
 
     @property
     def transposition(self) -> tuple[int, int]:
-        from .trees import leaf_labels
-
         l1, l2 = leaf_labels(self.lhs), leaf_labels(self.rhs)
         moved = sorted({a for a, b in zip(l1, l2) if a != b})
         if len(moved) != 2:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import catalog, counts, geometry, render
 from .quotient import check_equivalence, find_commutations
-from .rewrite import DEFAULT_BUDGET, closure, replay_certificate
+from .rewrite import ASSOC_H, ASSOC_V, DEFAULT_BUDGET, INTERCHANGE, closure, replay_certificate
 from .trees import format_monomial, leaf_labels, parse_monomial
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
@@ -176,11 +176,8 @@ def _verify_case1(budget: int) -> int:
         return INCONCLUSIVE
 
     def order(t) -> tuple[int, ...]:
-        part = geometry.realize(t)
-        blocks = sorted(
-            (b for b in part.blocks if b.label in tracked), key=lambda b: b.x1
-        )
-        return tuple(b.label for b in blocks)
+        # cells are sorted by (x1, y1), so the tracked labels come west to east
+        return tuple(c[4] for c in geometry.realize(t).cells if c[4] in tracked)
 
     want = order(cfg.monomial)
     for member in result.members:
@@ -319,12 +316,7 @@ def _slice_bounds(text: str) -> tuple[int, int]:
 
 
 def _rule_families(text: str) -> frozenset[str]:
-    from . import rewrite
-
-    table = {
-        "assoc": {rewrite.ASSOC_H, rewrite.ASSOC_V},
-        "interchange": {rewrite.INTERCHANGE},
-    }
+    table = {"assoc": {ASSOC_H, ASSOC_V}, "interchange": {INTERCHANGE}}
     out: set[str] = set()
     for token in text.split(","):
         token = token.strip()

@@ -42,9 +42,6 @@ class InterchangeGraph:
     vertices: tuple[AltTree, ...]
     edges: frozenset[tuple[int, int]]
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {i for e in self.edges for i in e}
         return tuple(i for i in range(len(self.vertices)) if i not in touched)

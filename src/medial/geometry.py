@@ -93,22 +93,6 @@ class Block:
     def touches_boundary(self) -> bool:
         return self.x1 == ZERO or self.x2 == ONE or self.y1 == ZERO or self.y2 == ONE
 
-    def contains_block(self, other: "Block") -> bool:
-        return (
-            self.x1 <= other.x1
-            and other.x2 <= self.x2
-            and self.y1 <= other.y1
-            and other.y2 <= self.y2
-        )
-
-    def overlaps(self, other: "Block") -> bool:
-        return (
-            self.x1 < other.x2
-            and other.x1 < self.x2
-            and self.y1 < other.y2
-            and other.y1 < self.y2
-        )
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -198,12 +182,6 @@ class BlockPartition:
             if b.label == label:
                 return b
         raise KeyError(f"no block labeled {label}")
-
-    def key(self) -> tuple:
-        """Canonical hashable key (coordinates and labels)."""
-        return tuple(
-            (b.x1, b.x2, b.y1, b.y2, b.label) for b in self.blocks
-        )
 
 
 def _validate(den: int, cells: list[tuple]) -> None:

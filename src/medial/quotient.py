@@ -23,7 +23,7 @@ only ints.
   is rebuilt from its children's lists on each expansion and never kept,
   because states far outnumber the subtrees they share.  A child result
   that collapsed onto the node's own operation is spliced into the node,
-  as ``apply_move`` does.
+  as flattening the binary interchange does.
 * The order contract: ``_Store.successors(n)`` and ``_moves(tree(n))``
   list the same moves in the same order.  First the local moves of each
   adjacent pair of non-leaf children, pair by pair, split by split; then
@@ -42,9 +42,14 @@ move from a parent to a state is
 discovered at its first place in its parent's list.  The states on that
 path become nested tuples again.
 
-Every quotient move expands back into explicit binary steps (associativity
-rotations around a single interchange), so search results are delivered as
-ordinary replayable certificates.
+Outside the store a move has one meaning, the binary interchange it stands
+for: ``_interchange`` builds a binary representative in which the move is
+one interchange redex.  ``apply_move`` flattens the rewritten representative,
+and ``expand_move`` adds the associativity rotations on either side, so
+search results are delivered as ordinary replayable certificates.
+``expand_path`` checks that each move of a traced chain lands on the next
+state, which compares the store's interned successor with the binary rewrite;
+the callers check the last move through the certificate's final monomial.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterator
 
-from .assoc import AltTree, alt_is_leaf, right_comb
+from .assoc import AltTree, alt_is_leaf, right_comb, to_alternating
 from .rewrite import (
     ALL_FAMILIES,
     BACKWARD,
@@ -70,59 +75,22 @@ from .rewrite import (
     closure,
     comb_steps,
 )
-from .trees import Position, Tree, V, arity, is_leaf, leaf_labels, opposite, relabel, strip_labels
+from .trees import (
+    Position,
+    Tree,
+    V,
+    arity,
+    is_leaf,
+    leaf_labels,
+    opposite,
+    relabel,
+    strip_labels,
+    subtree_at,
+)
 
 # A move is (path to the node, child index i, split of child i, split of
 # child i+1); the node's operation determines the interchange direction.
 Move = tuple[Position, int, int, int]
-
-
-def _group(op: str, parts: tuple[AltTree, ...]) -> AltTree:
-    return parts[0] if len(parts) == 1 else (op,) + parts
-
-
-def _join(op: str, x: AltTree, y: AltTree) -> AltTree:
-    xs = x[1:] if not alt_is_leaf(x) and x[0] == op else (x,)
-    ys = y[1:] if not alt_is_leaf(y) and y[0] == op else (y,)
-    return (op,) + xs + ys
-
-
-def _node_move_result(node: AltTree, i: int, sa: int, sb: int) -> AltTree:
-    """Apply the move at this node; may collapse to a single child."""
-    op = node[0]
-    opp = opposite(op)
-    kids = node[1:]
-    A, B = kids[i], kids[i + 1]
-    p = _group(opp, A[1 : 1 + sa])
-    q = _group(opp, A[1 + sa :])
-    r = _group(opp, B[1 : 1 + sb])
-    s = _group(opp, B[1 + sb :])
-    new_child = (opp, _join(op, p, r), _join(op, q, s))
-    rest = kids[:i] + (new_child,) + kids[i + 2 :]
-    if len(rest) == 1:
-        return rest[0]
-    return (op,) + rest
-
-
-def _apply_at_path(tree: AltTree, path: Position, i: int, sa: int, sb: int) -> AltTree:
-    if not path:
-        return _node_move_result(tree, i, sa, sb)
-    idx = path[0]
-    kids = list(tree[1:])
-    sub = _apply_at_path(kids[idx], path[1:], i, sa, sb)
-    if not alt_is_leaf(sub) and sub[0] == tree[0]:
-        # The child collapsed to a node carrying our own operation: splice.
-        kids[idx : idx + 1] = list(sub[1:])
-    else:
-        kids[idx] = sub
-    return (tree[0],) + tuple(kids)
-
-
-def apply_move(tree: AltTree, move: Move) -> AltTree:
-    """The move applied to nested tuples, apart from the interned search:
-    certificate expansion recomputes every traced move with it."""
-    path, i, sa, sb = move
-    return _apply_at_path(tree, path, i, sa, sb)
 
 
 def _moves(tree: AltTree) -> list[Move]:
@@ -351,35 +319,48 @@ def _rep_with_redex(tree: AltTree, move: Move) -> tuple[Tree, Position]:
     return go(tree, 0)
 
 
+def _interchange(tree: AltTree, move: Move) -> tuple[Tree, RewriteStep]:
+    """The binary interchange the move stands for: a representative of
+    ``tree`` and the one interchange step on it."""
+    rep, pos = _rep_with_redex(tree, move)
+    direction = FORWARD if subtree_at(rep, pos)[0] == V else BACKWARD
+    return rep, RewriteStep(INTERCHANGE, direction, pos)
+
+
+def apply_move(tree: AltTree, move: Move) -> AltTree:
+    """The move applied to nested tuples: its binary interchange, flattened."""
+    rep, step = _interchange(tree, move)
+    return to_alternating(apply_redex(rep, step))
+
+
 def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTree]:
     """Binary steps from right_comb(u) to right_comb(v) realizing the move."""
-    rep, pos = _rep_with_redex(u, move)
-    node = rep
-    for p in pos:
-        node = node[1 + p]
-    direction = FORWARD if node[0] == V else BACKWARD
-    step = RewriteStep(INTERCHANGE, direction, pos)
+    rep, step = _interchange(u, move)
     after = apply_redex(rep, step)
-    v = apply_move(u, move)
-    # right_comb(u) and right_comb(v) are combs already: rotating rep and
-    # after to their combs gives the whole associativity path on each side.
+    # right_comb(u) is a comb already: rotating rep and after to their combs
+    # gives the whole associativity path on each side.
     comb_rep, rep_to_comb = comb_steps(rep)
-    comb_after, after_to_comb = comb_steps(after)
-    if comb_rep != right_comb(u) or comb_after != right_comb(v):
+    if comb_rep != right_comb(u):
         raise RewriteError("trees are not equal modulo associativity")
+    _, after_to_comb = comb_steps(after)
     steps = tuple(s.inverted() for s in reversed(rep_to_comb)) + (step,) + after_to_comb
-    return steps, v
+    return steps, to_alternating(after)
 
 
 def expand_path(t_start: Tree, moves: list[tuple[AltTree, Move]]) -> tuple[RewriteStep, ...]:
     """Binary steps from ``t_start`` through a chain of quotient moves.
 
-    ``moves`` lists (state, move applied at that state) in order.
+    ``moves`` lists (state, move applied at that state) in order.  Each
+    state must be where the chain stands: the alternating form of
+    ``t_start``, then the flattened result of the move before it.
     """
     _, start_rot = comb_steps(t_start)
     steps = list(start_rot)
+    at = to_alternating(t_start)
     for state, move in moves:
-        seg, _ = expand_move(state, move)
+        if state != at:
+            raise RewriteError(f"move {move} does not start where the chain stands")
+        seg, at = expand_move(state, move)
         steps.extend(seg)
     return tuple(steps)
 
@@ -397,10 +378,6 @@ class EquivalenceResult:
     @property
     def found(self) -> bool:
         return self.certificate is not None
-
-    @property
-    def decided(self) -> bool:
-        return self.found or self.proved_distinct
 
 
 def _trace(store: _Store, search: Frontier, state: int) -> list[tuple[AltTree, Move]]:
@@ -569,10 +546,5 @@ def _find_commutations_binary(
 
 def interchange_neighbours_exist(tree: AltTree) -> bool:
     """True iff some binary representative contains an interchange redex,
-    that is, iff some node has two adjacent non-leaf children."""
-    if alt_is_leaf(tree):
-        return False
-    kids = tree[1:]
-    return any(
-        not alt_is_leaf(a) and not alt_is_leaf(b) for a, b in zip(kids, kids[1:])
-    ) or any(map(interchange_neighbours_exist, kids))
+    that is, iff the tree has a move."""
+    return bool(_moves(tree))

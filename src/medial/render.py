@@ -8,6 +8,9 @@ from .geometry import BlockPartition
 
 SVG_SIZE = 480
 SVG_MARGIN = 10
+# The ASCII grid has (2 den + 1) x (4 den + 1) cells: about 100 MB at 1024,
+# and 16 times as much for every two further halvings.
+ASCII_MAX_DEN = 1024
 
 
 def _decimal(value: Fraction) -> str:
@@ -71,9 +74,15 @@ def partition_svg(p: BlockPartition) -> str:
 def partition_ascii(p: BlockPartition) -> str:
     """Character-grid drawing; rows run north to south.
 
-    Raises ValueError when coordinates are not dyadic.
+    Raises ValueError when coordinates are not dyadic or finer than
+    ``1/ASCII_MAX_DEN``.
     """
     _require_dyadic(p)
+    if p.den > ASCII_MAX_DEN:
+        raise ValueError(
+            f"partition over denominator {p.den} is too fine to draw as text "
+            f"(at most {ASCII_MAX_DEN}); use --format svg"
+        )
     resolution = p.den
     cols = 4 * resolution
     rows = 2 * resolution

@@ -329,10 +329,6 @@ class DihedralElement:
             flip_v=b ^ other.flip_v,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return not (self.transpose or self.flip_h or self.flip_v)
-
 
 FLIP_H = DihedralElement(flip_h=True)
 FLIP_V = DihedralElement(flip_v=True)

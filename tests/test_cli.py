@@ -122,6 +122,20 @@ def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+def test_render_ascii_refuses_a_too_fine_partition(capsys):
+    # a 12-argument left comb halves its first block 11 times: denominator
+    # 2048, whose character grid would take about 400 MB
+    comb = "x1"
+    for k in range(2, 13):
+        comb = f"({comb} h x{k})"
+    assert main(["render", "--monomial", comb]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--format svg" in captured.err
+    assert main(["render", "--monomial", comb, "--format", "svg"]) == PASS
+
+
 def test_search_monomial_syntax_error(capsys):
     assert main(["search", "--monomial", "((a h b) v c"]) == USAGE
     captured = capsys.readouterr()

@@ -18,12 +18,14 @@ from medial.quotient import (
     apply_move,
     check_equivalence,
     expand_move,
+    expand_path,
     find_commutations,
     interchange_neighbours_exist,
 )
 from medial.rewrite import (
     INTERCHANGE,
     INTERCHANGE_ONLY,
+    RewriteError,
     certificate_from_path,
     closure,
     replay_certificate,
@@ -190,6 +192,21 @@ def test_expand_move_produces_replayable_segments():
         assert cert.final == right_comb(v)
         assert sum(1 for s in steps if s.rule == INTERCHANGE) == 1
         checked += 1
+
+
+def test_expand_path_rejects_a_broken_chain():
+    t = parse_monomial("(((a h b) v (c h d)) h ((e h f) v (g h k)))")
+    u = to_alternating(t)
+    (m1, v1), (m2, _) = list(alt_successors(u))[:2]
+    (m3, w), *_ = alt_successors(v1)
+    cert = certificate_from_path(t, expand_path(t, [(u, m1), (v1, m3)]))
+    assert cert.final == right_comb(w)
+    # the second move is taken at u again, not where the first one led
+    with pytest.raises(RewriteError):
+        expand_path(t, [(u, m1), (u, m2)])
+    # the first move is not taken at t's own alternating form
+    with pytest.raises(RewriteError):
+        expand_path(t, [(v1, m3)])
 
 
 def test_check_equivalence_reflexive():
