@@ -63,8 +63,8 @@ def build_config_a() -> Certificate:
     milestones = [parse_monomial(CONFIG_A_MILESTONES[0], names=names)]
     for text in CONFIG_A_MILESTONES[1:]:
         milestones.append(parse_monomial(text, names=names))
-    assert milestones[0] == CONFIG_A.lhs
-    assert milestones[-1] == CONFIG_A.rhs
+    if (milestones[0], milestones[-1]) != (CONFIG_A.lhs, CONFIG_A.rhs):
+        raise SystemExit("the configA milestones do not run from its lhs to its rhs")
 
     _, steps0 = comb_steps(milestones[0])
     steps = list(steps0)
@@ -82,7 +82,8 @@ def build_config_a() -> Certificate:
     _, steps_final = comb_steps(milestones[-1])
     steps.extend(s.inverted() for s in reversed(steps_final))
     cert = certificate_from_path(milestones[0], steps)
-    assert cert.final == CONFIG_A.rhs
+    if cert.final != CONFIG_A.rhs:
+        raise SystemExit("the configA certificate does not end at its rhs")
     return cert
 
 
@@ -101,8 +102,10 @@ def build_all() -> dict[str, Certificate]:
         "configB": build_by_search(CONFIG_B),
         "case2": build_by_search(CASE2),
     }
-    for cert in built.values():
-        assert replay_certificate(cert)
+    for name, cert in built.items():
+        result = replay_certificate(cert)
+        if not result:
+            raise SystemExit(f"the {name} certificate does not replay: {result.reason}")
     return built
 
 

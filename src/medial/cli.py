@@ -28,11 +28,6 @@ VERIFY_TARGETS = (
 )
 
 
-def _letters(names: dict[str, int], pair: tuple[int, int]) -> str:
-    rev = {v: k for k, v in names.items()}
-    return f"({rev[pair[0]]} {rev[pair[1]]})"
-
-
 def _worst(a: int, b: int) -> int:
     """Combine exit codes: FAIL dominates INCONCLUSIVE dominates PASS."""
     if FAIL in (a, b):
@@ -121,7 +116,7 @@ def _verify_relation(name: str, budget: int, rediscover: bool) -> int:
             return FAIL
         print(
             f"  commutation scan: rediscovered transposition "
-            f"{_letters(rel.names, rel.transposition)} "
+            f"({' '.join(rel.transposed_letters())}) "
             f"(class size {scan.class_size}, exhausted={scan.exhausted})"
         )
     print(f"PASS {name}")

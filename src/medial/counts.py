@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import geometry
 from .assoc import AltTree, alt_strip, enumerate_alternating
-from .quotient import alt_successors, interchange_neighbours_exist
+from .quotient import _Store, interchange_neighbours_exist
 from .rewrite import INTERCHANGE_ONLY, closure
 from .trees import (
     Tree,
@@ -51,11 +51,12 @@ def interchange_graph(n: int) -> InterchangeGraph:
     if n > GRAPH_ARITY_LIMIT:
         raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
     vertices = tuple(alt_strip(a) for a in enumerate_alternating(n))
-    index = {v: i for i, v in enumerate(vertices)}
+    store = _Store()  # the unlabelled vertices share their subtrees' moves
+    index = {store.from_binary(v): i for i, v in enumerate(vertices)}
     edges: set[tuple[int, int]] = set()
-    for i, v in enumerate(vertices):
-        for _, w in alt_successors(v):
-            j = index[alt_strip(w)]
+    for u, i in index.items():
+        for w in store.successors(u):
+            j = index[w]
             if i != j:
                 edges.add((min(i, j), max(i, j)))
     return InterchangeGraph(vertices, frozenset(edges))
@@ -68,7 +69,7 @@ def isolated_count(n: int) -> int:
     return sum(
         1
         for a in enumerate_alternating(n)
-        if not interchange_neighbours_exist(alt_strip(a))
+        if not interchange_neighbours_exist(a)
     )
 
 

@@ -16,18 +16,18 @@ only ints.
   interned on the key ``(op, child, ...)`` of its child ids, so hashing and
   comparing a key is shallow, and a subtree shared by many states is one
   id.  The index is a dict whose ``__missing__`` interns the key, so a
-  node seen before costs one lookup.  A binary monomial is flattened and
-  interned in one pass.
+  node seen before costs one lookup.  A monomial, binary or alternating,
+  is flattened and interned in one pass.
 * ``_Store.successors(n)`` is a flat list of the ids of ``n``'s
   neighbours.  Every non-root node memoizes its list; a state's own list
   is rebuilt from its children's lists on each expansion and never kept,
   because states far outnumber the subtrees they share.  A child result
   that collapsed onto the node's own operation is spliced into the node,
   as flattening the binary interchange does.
-* The order contract: ``_Store.successors(n)`` and ``_moves(tree(n))``
-  list the same moves in the same order.  First the local moves of each
-  adjacent pair of non-leaf children, pair by pair, split by split; then
-  the moves inside each child, from the last child to the first.
+* ``_Store`` is the only code that enumerates moves.  ``successors(n)``
+  lists first the local moves of each adjacent pair of non-leaf children,
+  pair by pair, split by split, then the moves inside each child, from the
+  last child to the first; ``move(n, k)`` names the move behind entry ``k``.
 * "Same operation-labelled shape as the start" walks the two states'
   keys side by side and stops at the first difference; a subtree the two
   share is one id and is not entered.
@@ -38,7 +38,7 @@ grows two frontiers towards each other and ``find_commutations`` one.  A
 frontier maps each state to the state that discovered it and records no
 move.  Only the traced path of a result is spelled out (``_trace``): the
 move from a parent to a state is
-``_moves(parent)[successors(parent).index(state)]``, because a state is
+``move(parent, successors(parent).index(state))``, because a state is
 discovered at its first place in its parent's list.  The states on that
 path become nested tuples again.
 
@@ -48,8 +48,8 @@ one interchange redex.  ``apply_move`` flattens the rewritten representative,
 and ``expand_move`` adds the associativity rotations on either side, so
 search results are delivered as ordinary replayable certificates.
 ``expand_path`` checks that each move of a traced chain lands on the next
-state, which compares the store's interned successor with the binary rewrite;
-the callers check the last move through the certificate's final monomial.
+state, which compares the store's interned successor with the binary rewrite,
+and ``_certificate`` checks that the whole proof ends at its target.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from .trees import (
     leaf_labels,
     opposite,
     relabel,
+    replace_at,
     strip_labels,
     subtree_at,
 )
@@ -91,34 +92,7 @@ from .trees import (
 # A move is (path to the node, child index i, split of child i, split of
 # child i+1); the node's operation determines the interchange direction.
 Move = tuple[Position, int, int, int]
-
-
-def _moves(tree: AltTree) -> list[Move]:
-    """The moves of ``tree``, in the order of ``_Store.successors``: the
-    local moves of each adjacent pair of non-leaf children, then the moves
-    inside each child, from the last child to the first."""
-    out: list[Move] = []
-    stack = [] if alt_is_leaf(tree) else [((), tree)]
-    while stack:
-        path, node = stack.pop()
-        kids = node[1:]
-        nodes = [not alt_is_leaf(c) for c in kids]
-        out += [
-            (path, i, sa, sb)
-            for i in range(len(kids) - 1)
-            if nodes[i] and nodes[i + 1]
-            for sa in range(1, len(kids[i]) - 1)
-            for sb in range(1, len(kids[i + 1]) - 1)
-        ]
-        # popped last child first, each child's moves before the next one's
-        stack += [((*path, j), c) for j, c in enumerate(kids) if nodes[j]]
-    return out
-
-
-def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
-    """All single-interchange neighbours of an alternating tree."""
-    for move in _moves(tree):
-        yield move, apply_move(tree, move)
+Chain = list[tuple[AltTree, Move]]  # (state, move taken there), in order
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +126,18 @@ class _Store:
         self.memo = self.index.memo
 
     def from_binary(self, t: Tree) -> int:
-        """Flatten and intern a binary monomial in one pass."""
+        """Flatten and intern a monomial, binary or alternating, in one pass."""
         if is_leaf(t):
             return t
         op = t[0]
         parts: list[int] = []
-        stack = [t[2], t[1]]
+        stack = list(t[:0:-1])  # the children, last first
         while stack:
             sub = stack.pop()
             if is_leaf(sub):
                 parts.append(sub)
             elif sub[0] == op:
-                stack += (sub[2], sub[1])
+                stack += sub[:0:-1]
             else:
                 parts.append(self.from_binary(sub))
         return self.index[(op, *parts)]
@@ -228,8 +202,8 @@ class _Store:
         ]
 
     def successors(self, n: int) -> list[int]:
-        """Ids of every single-interchange neighbour of node ``n``, in the
-        order of ``_moves``.
+        """Ids of every single-interchange neighbour of node ``n``; entry
+        ``k`` is reached by the move ``move(n, k)``.
 
         The lists of ``n``'s descendants are memoized; ``n``'s own is not.
         """
@@ -271,6 +245,39 @@ class _Store:
                     out.append(index[(*head, c, *tail)])
         return out
 
+    def move(self, n: int, k: int) -> Move:
+        """The move behind entry ``k`` of ``successors(n)``, which must have run,
+        read block by block off the keys and the children's memoized lists."""
+        keys = self.keys
+        kids = keys[~n][1:]
+        for i, (a, b) in enumerate(pairwise(kids)):
+            if a < 0 and b < 0:
+                width = len(keys[~b]) - 2  # the splits of child i + 1
+                size = (len(keys[~a]) - 2) * width
+                if k < size:
+                    return (), i, k // width + 1, k % width + 1
+                k -= size
+        for j in reversed(range(len(kids))):
+            size = len(self.memo[~kids[j]]) if kids[j] < 0 else 0
+            if k < size:
+                path, *rest = self.move(kids[j], k)
+                return ((j, *path), *rest)
+            k -= size
+        raise IndexError("move index out of range")
+
+
+def _moves(tree: AltTree) -> list[Move]:
+    """The moves of ``tree``, in the order of ``_Store.successors``."""
+    return [move for move, _ in alt_successors(tree)]
+
+
+def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
+    """All single-interchange neighbours of an alternating tree."""
+    store = _Store()
+    n = store.from_binary(tree)
+    for k, c in enumerate(store.successors(n)):
+        yield store.move(n, k), store.tree(c)
+
 
 # ---------------------------------------------------------------------------
 # Expansion of a quotient move into binary steps
@@ -292,31 +299,25 @@ def _split_rep(op: str, child: AltTree, split: int) -> Tree:
     return (op, left, right)
 
 
+def _comb_position(j: int, m: int) -> Position:
+    """Position of part ``j`` of ``m`` in their right comb."""
+    return (1,) * j + (0,) * (j < m - 1)
+
+
 def _rep_with_redex(tree: AltTree, move: Move) -> tuple[Tree, Position]:
-    """A binary representative in which the move is one interchange redex."""
+    """A binary representative in which the move is one interchange redex:
+    ``right_comb(tree)`` with the moved node rebracketed around the redex."""
     path, i, sa, sb = move
-
-    def go(node: AltTree, depth: int) -> tuple[Tree, Position]:
-        op = node[0]
-        kids = node[1:]
-        if depth == len(path):
-            opp = opposite(op)
-            parts = [right_comb(c) for c in kids[: i]]
-            redex = (op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))
-            parts.append(redex)
-            parts.extend(right_comb(c) for c in kids[i + 2 :])
-            rel = (1,) * i if i == len(parts) - 1 else (1,) * i + (0,)
-            if len(parts) == 1:
-                rel = ()
-            return _comb_chain(op, parts), rel
-        idx = path[depth]
-        parts = [right_comb(c) for c in kids]
-        sub, sub_pos = go(kids[idx], depth + 1)
-        parts[idx] = sub
-        rel = (1,) * idx if idx == len(parts) - 1 else (1,) * idx + (0,)
-        return _comb_chain(op, parts), rel + sub_pos
-
-    return go(tree, 0)
+    pos, node = (), tree
+    for j in path:
+        pos += _comb_position(j, len(node) - 1)
+        node = node[j + 1]
+    op, kids = node[0], node[1:]
+    opp = opposite(op)
+    parts = [right_comb(c) for c in kids]
+    parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
+    rep = replace_at(right_comb(tree), pos, _comb_chain(op, parts))
+    return rep, pos + _comb_position(i, len(parts))
 
 
 def _interchange(tree: AltTree, move: Move) -> tuple[Tree, RewriteStep]:
@@ -347,7 +348,7 @@ def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTre
     return steps, to_alternating(after)
 
 
-def expand_path(t_start: Tree, moves: list[tuple[AltTree, Move]]) -> tuple[RewriteStep, ...]:
+def expand_path(t_start: Tree, moves: Chain) -> tuple[RewriteStep, ...]:
     """Binary steps from ``t_start`` through a chain of quotient moves.
 
     ``moves`` lists (state, move applied at that state) in order.  Each
@@ -380,17 +381,23 @@ class EquivalenceResult:
         return self.certificate is not None
 
 
-def _trace(store: _Store, search: Frontier, state: int) -> list[tuple[AltTree, Move]]:
-    """Chain of (state, move) pairs from the search's root to ``state``.
+def _trace(store: _Store, search: Frontier, state: int) -> Chain:
+    """Chain from the search's root to ``state``.  A state was discovered at
+    its first place in its parent's successor list, so that place names the move."""
+    return [
+        (store.tree(parent), store.move(parent, store.successors(parent).index(child)))
+        for parent, child in pairwise(search.path(state))
+    ]
 
-    A state was discovered at its first place in its parent's successor
-    list, and ``_moves`` lists the parent's moves in the same order.
-    """
-    chain: list[tuple[AltTree, Move]] = []
-    for parent, child in pairwise(search.path(state)):
-        tree = store.tree(parent)
-        chain.append((tree, _moves(tree)[store.successors(parent).index(child)]))
-    return chain
+
+def _certificate(t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
+    """Certificate from ``t1`` along ``chain1``, then back along ``chain2``
+    to ``t2``; a chain that does not end where the other does is an error."""
+    fwd, bwd = expand_path(t1, chain1), expand_path(t2, chain2)
+    cert = certificate_from_path(t1, fwd + tuple(s.inverted() for s in reversed(bwd)))
+    if cert.final != t2:
+        raise RewriteError("the traced chains do not meet")
+    return cert
 
 
 def check_equivalence(
@@ -428,11 +435,8 @@ def check_equivalence(
                 return EquivalenceResult(None, False, expanded())
             for nxt in mine.expand():
                 if nxt in other.parents:
-                    fwd_steps = expand_path(t1, _trace(store, sides[0], nxt))
-                    bwd_steps = expand_path(t2, _trace(store, sides[1], nxt))
-                    total = fwd_steps + tuple(s.inverted() for s in reversed(bwd_steps))
-                    cert = certificate_from_path(t1, total)
-                    assert cert.final == t2
+                    fwd, bwd = (_trace(store, side, nxt) for side in sides)
+                    cert = _certificate(t1, fwd, t2, bwd)
                     return EquivalenceResult(cert, False, expanded())
     return EquivalenceResult(None, True, expanded())
 
@@ -504,11 +508,7 @@ def find_commutations(
     for perm, state in sorted(found.items()):
         sigma = {i + 1: img for i, img in enumerate(perm)}
         target = relabel(t, sigma)
-        steps = expand_path(t, _trace(store, search, state))
-        _, target_rot = comb_steps(target)
-        total = steps + tuple(s.inverted() for s in reversed(target_rot))
-        cert = certificate_from_path(t, total)
-        assert cert.final == target
+        cert = _certificate(t, _trace(store, search, state), target, [])
         witnesses.append(CommutationWitness(t, perm, cert))
     return CommutationScan(
         witnesses=tuple(witnesses),
@@ -546,5 +546,9 @@ def _find_commutations_binary(
 
 def interchange_neighbours_exist(tree: AltTree) -> bool:
     """True iff some binary representative contains an interchange redex,
-    that is, iff the tree has a move."""
-    return bool(_moves(tree))
+    that is, iff some node has two adjacent non-leaf children."""
+    if alt_is_leaf(tree):
+        return False
+    kids = tree[1:]
+    adjacent = any(not alt_is_leaf(a) and not alt_is_leaf(b) for a, b in pairwise(kids))
+    return adjacent or any(map(interchange_neighbours_exist, kids))

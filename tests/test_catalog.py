@@ -4,9 +4,11 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from medial import catalog
 from medial.geometry import interior_labels, main_cuts, realize
-from medial.rewrite import replay_certificate
+from medial.rewrite import ReplayResult, replay_certificate
 from medial.trees import arity, leaf_labels
 
 
@@ -113,3 +115,13 @@ def test_build_certificates_check_names_a_differing_file(tmp_path):
     (tmp_path / "bm9.json").write_text(built["bm9"].inverted().dump())
     (tmp_path / "case2.json").unlink()
     assert script.differing_files(built, tmp_path) == ["bm9.json", "case2.json"]
+
+
+def test_build_certificates_refuses_a_certificate_that_does_not_replay(monkeypatch):
+    # an explicit check, not an assert, so that python -O keeps it
+    spec = importlib.util.spec_from_file_location("build_certificates", BUILD_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "replay_certificate", lambda cert: ReplayResult(False, 0, "broken"))
+    with pytest.raises(SystemExit, match="does not replay"):
+        script.build_all()

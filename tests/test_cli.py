@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -239,6 +240,22 @@ def test_count_graph_out(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "vertices 22"
     assert len(lines) == 2  # exactly one edge at arity 4
+
+
+@pytest.mark.parametrize(
+    "arity, lines, digest",
+    [
+        (7, 689, "5c9308dd66c505451748a549238cd1b506d5cbee50a060a19b6fccf72fcfed9c"),
+        (8, 4483, "ff4b751a282270abc962880afdf1c7581dfa9ccc86dd9822ef8de0145ab08d8b"),
+    ],
+    ids=["arity7", "arity8"],
+)
+def test_count_graph_out_bytes_are_pinned(arity, lines, digest, tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["count", "--arity", str(arity), "--graph-out", str(out)]) == PASS
+    data = out.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

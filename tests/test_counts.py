@@ -1,5 +1,6 @@
 import pytest
 
+from medial.assoc import alt_strip, binary_representatives, to_alternating
 from medial.counts import (
     ALTERNATING_COUNTS,
     ISOLATED_COUNTS,
@@ -10,6 +11,7 @@ from medial.counts import (
     orbit_size_multiset,
     verify_fiber_equivalence,
 )
+from medial.rewrite import INTERCHANGE_ONLY, successors
 from medial.trees import H, V, shape_count, strip_labels
 
 
@@ -44,6 +46,22 @@ def test_graph_edges_independent_of_vertex_order():
             if w in targets and i != j:
                 edges.add((min(i, j), max(i, j)))
     assert edges == set(g.edges)
+
+
+def test_graph_edges_match_binary_interchanges():
+    # an edge is one interchange on some binary representative; this route
+    # goes through binary rewriting only, not through the interned store
+    for n in range(2, 8):
+        g = interchange_graph(n)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        edges = set()
+        for i, v in enumerate(g.vertices):
+            for rep in binary_representatives(v):
+                for _, res in successors(rep, families=INTERCHANGE_ONLY):
+                    j = index[alt_strip(to_alternating(res))]
+                    if i != j:
+                        edges.add((min(i, j), max(i, j)))
+        assert edges == set(g.edges)
 
 
 def test_isolated_counts_match_vendored():

@@ -209,6 +209,18 @@ def test_expand_path_rejects_a_broken_chain():
         expand_path(t, [(v1, m3)])
 
 
+def test_a_certificate_that_misses_its_target_is_an_error(monkeypatch):
+    # a traced chain short of its last move must not become a certificate;
+    # an explicit check, not an assert, so that python -O keeps it
+    from medial import quotient
+
+    monkeypatch.setattr(quotient, "expand_path", lambda t, chain: expand_path(t, chain[:-1]))
+    with pytest.raises(RewriteError):
+        find_commutations(CONFIG_A.lhs)
+    with pytest.raises(RewriteError):
+        check_equivalence(BM9.lhs, BM9.rhs)
+
+
 def test_check_equivalence_reflexive():
     t = parse_monomial("((a h b) v (c h d))")
     res = check_equivalence(t, t)
