@@ -25,8 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from medial.assoc import to_alternating
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, KOCK16, CERTIFICATE_FILES
-from medial.quotient import alt_successors, check_equivalence, expand_move
-from medial.rewrite import Certificate, certificate_from_path, comb_steps, replay_certificate
+from medial.quotient import _certificate, alt_successors, check_equivalence
+from medial.rewrite import Certificate, RewriteError, replay_certificate
 from medial.trees import parse_monomial
 
 CERTS_DIR = Path(__file__).resolve().parent.parent / "src" / "medial" / "certs"
@@ -66,25 +66,21 @@ def build_config_a() -> Certificate:
     if (milestones[0], milestones[-1]) != (CONFIG_A.lhs, CONFIG_A.rhs):
         raise SystemExit("the configA milestones do not run from its lhs to its rhs")
 
-    _, steps0 = comb_steps(milestones[0])
-    steps = list(steps0)
+    chain = []
     for prev, nxt in zip(milestones, milestones[1:]):
         u, v = to_alternating(prev), to_alternating(nxt)
         for move, result in alt_successors(u):
             if result == v:
-                segment, _ = expand_move(u, move)
-                steps.extend(segment)
+                chain.append((u, move))
                 break
         else:
             raise SystemExit(
                 f"no single interchange connects milestones:\n  {prev}\n  {nxt}"
             )
-    _, steps_final = comb_steps(milestones[-1])
-    steps.extend(s.inverted() for s in reversed(steps_final))
-    cert = certificate_from_path(milestones[0], steps)
-    if cert.final != CONFIG_A.rhs:
-        raise SystemExit("the configA certificate does not end at its rhs")
-    return cert
+    try:
+        return _certificate(milestones[0], chain, CONFIG_A.rhs, [])
+    except RewriteError as exc:
+        raise SystemExit(f"the configA milestones do not give a certificate: {exc}")
 
 
 def build_by_search(relation) -> Certificate:

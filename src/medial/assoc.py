@@ -11,6 +11,9 @@ Flattening a binary monomial (merging every child node that carries the
 same operation as its parent) computes its class modulo associativity; the
 binary trees in one class are exactly the bracketings of the alternating
 tree, one bracketing per node chosen independently.
+
+The leaf test, ``arity``, ``leaf_labels`` and ``strip_labels`` are the
+``trees`` functions, which read a node of any width.
 """
 
 from __future__ import annotations
@@ -24,41 +27,13 @@ AltTree = int | tuple
 ALTERNATING_ARITY_LIMIT = 12
 
 
-def alt_is_leaf(a: AltTree) -> bool:
-    return isinstance(a, int)
-
-
-def alt_arity(a: AltTree) -> int:
-    if alt_is_leaf(a):
-        return 1
-    return sum(alt_arity(c) for c in a[1:])
-
-
-def alt_leaf_labels(a: AltTree) -> tuple[int, ...]:
-    out: list[int] = []
-    stack = [a]
-    while stack:
-        node = stack.pop()
-        if alt_is_leaf(node):
-            out.append(node)
-        else:
-            stack.extend(reversed(node[1:]))
-    return tuple(out)
-
-
-def alt_strip(a: AltTree) -> AltTree:
-    if alt_is_leaf(a):
-        return 0
-    return (a[0],) + tuple(alt_strip(c) for c in a[1:])
-
-
 def is_alternating(a: AltTree) -> bool:
-    if alt_is_leaf(a):
+    if is_leaf(a):
         return True
     if len(a) < 3:
         return False
     for child in a[1:]:
-        if not alt_is_leaf(child):
+        if not is_leaf(child):
             if child[0] != opposite(a[0]) or not is_alternating(child):
                 return False
     return True
@@ -76,7 +51,7 @@ def to_alternating(t: Tree) -> AltTree:
     parts: list[AltTree] = []
     for side in (t[1], t[2]):
         sub = to_alternating(side)
-        if not alt_is_leaf(sub) and sub[0] == op:
+        if not is_leaf(sub) and sub[0] == op:
             parts.extend(sub[1:])
         else:
             parts.append(sub)
@@ -89,7 +64,7 @@ def binary_representatives(a: AltTree) -> Iterator[Tree]:
     A node with k children contributes all bracketings of its child list,
     combined independently across nodes.
     """
-    if alt_is_leaf(a):
+    if is_leaf(a):
         yield a
         return
     op = a[0]
@@ -108,7 +83,7 @@ def binary_representatives(a: AltTree) -> Iterator[Tree]:
 
 def right_comb(a: AltTree) -> Tree:
     """Canonical bracketing: right comb at every node."""
-    if alt_is_leaf(a):
+    if is_leaf(a):
         return a
     op = a[0]
     combed = [right_comb(c) for c in a[1:]]
@@ -120,7 +95,7 @@ def right_comb(a: AltTree) -> Tree:
 
 def assoc_class_size(a: AltTree) -> int:
     """Number of binary representatives (product of Catalan factors)."""
-    if alt_is_leaf(a):
+    if is_leaf(a):
         return 1
     size = catalan(len(a) - 2)
     for child in a[1:]:
@@ -197,7 +172,7 @@ def enumerate_alternating(n: int) -> Iterator[AltTree]:
 
 def format_alternating(a: AltTree) -> str:
     """Diagnostic text form: nested lists with an operation suffix."""
-    if alt_is_leaf(a):
+    if is_leaf(a):
         return f"x{a}"
     inner = " ".join(format_alternating(c) for c in a[1:])
     return f"({inner})_{a[0]}"

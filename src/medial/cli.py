@@ -12,7 +12,7 @@ from pathlib import Path
 from . import catalog, counts, geometry, render
 from .quotient import check_equivalence, find_commutations
 from .rewrite import ASSOC_H, ASSOC_V, DEFAULT_BUDGET, INTERCHANGE, closure, replay_certificate
-from .trees import format_monomial, leaf_labels, parse_monomial
+from .trees import format_monomial, parse_monomial
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 
@@ -104,11 +104,7 @@ def _verify_relation(name: str, budget: int, rediscover: bool) -> int:
     print(f"  independent search: proof with {search.certificate.interchange_count} interchanges")
     if rediscover:
         scan = find_commutations(rel.lhs, budget=budget)
-        perms = {w.permutation for w in scan}
-        i, j = rel.transposition
-        n = len(leaf_labels(rel.lhs))
-        want = tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
-        if want not in perms:
+        if rel.transposition not in {w.transposed_pair for w in scan}:
             if not scan.exhausted:
                 print(f"INCONCLUSIVE {name}: commutation scan ran out of budget")
                 return INCONCLUSIVE

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
-from .assoc import AltTree, alt_strip, enumerate_alternating
+from .assoc import AltTree, enumerate_alternating
 from .quotient import _Store, interchange_neighbours_exist
 from .rewrite import INTERCHANGE_ONLY, closure
 from .trees import (
@@ -50,7 +50,7 @@ class InterchangeGraph:
 def interchange_graph(n: int) -> InterchangeGraph:
     if n > GRAPH_ARITY_LIMIT:
         raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
-    vertices = tuple(alt_strip(a) for a in enumerate_alternating(n))
+    vertices = tuple(strip_labels(a) for a in enumerate_alternating(n))
     store = _Store()  # the unlabelled vertices share their subtrees' moves
     index = {store.from_binary(v): i for i, v in enumerate(vertices)}
     edges: set[tuple[int, int]] = set()

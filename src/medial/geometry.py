@@ -20,6 +20,8 @@ The area, overlap and duplicate-label checks run where input comes in:
 ``enumerate_partitions`` and ``grid_partitions`` build valid partitions
 from valid ones by construction and skip them; ``realize``, ``hjoin`` and
 ``vjoin`` keep the labels they are given, so those must be distinct.
+``cuts`` trusts its input too: in blocks that tile the square, every block
+side strictly inside it lies under one of the cuts found.
 """
 
 from __future__ import annotations
@@ -390,37 +392,10 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
             above = _merge_intervals([(c[lo_i], c[hi_i]) for c in cells if c[start] == x])
             for lo, hi in _intersect_intervals(below, above):
                 found.add((orientation, x, lo, hi))
-    _check_cut_consistency(p, found)
     return frozenset(
         Cut(orientation, Fraction(x, den), Fraction(lo, den), Fraction(hi, den))
         for orientation, x, lo, hi in found
     )
-
-
-def _check_cut_consistency(p: BlockPartition, found: set[tuple[str, int, int, int]]) -> None:
-    # Every internal block edge must lie under some cut on both sides;
-    # area + disjointness already guarantee coverage, so it suffices that
-    # each block side strictly inside the square is matched by a cut.
-    den = p.den
-    for cell in p.cells:
-        x1, x2, y1, y2, _ = cell
-        sides = [
-            (VERTICAL, x1, y1, y2),
-            (VERTICAL, x2, y1, y2),
-            (HORIZONTAL, y1, x1, x2),
-            (HORIZONTAL, y2, x1, x2),
-        ]
-        for orientation, c, lo, hi in sides:
-            if c == 0 or c == den:
-                continue
-            covered = _merge_intervals(
-                [(a, b) for o, x, a, b in found if o == orientation and x == c]
-            )
-            if not any(seg_lo <= lo and hi <= seg_hi for seg_lo, seg_hi in covered):
-                side = Fraction(c, den)
-                raise PartitionError(
-                    f"inconsistent partition: side {side} of {_block(den, cell)} uncovered"
-                )
 
 
 def _on_grid(p: BlockPartition, r: Rect) -> tuple[int, tuple, tuple[int, int, int, int]]:
@@ -546,7 +521,9 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     """All binary monomials realizing p, labels carried from the blocks.
 
     Recursive main-cut decomposition; a window with both main cuts yields
-    trees from both splits (deduplicated, though the root operations differ).
+    the trees of its vertical split, then those of its horizontal one.  No
+    two coincide: the splits give different root operations, and each
+    gives the distinct pairs of its halves' trees.
     """
     if None in p.labels():
         p = p.with_lex_labels()
@@ -554,28 +531,22 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     def go(window: tuple[int, int, int, int], cells: tuple) -> tuple[Tree, ...]:
         if len(cells) == 1:
             return (cells[0][4],)
-        results: dict[bytes, Tree] = {}
+        results: list[Tree] = []
         x1, x2, y1, y2 = window
         found = _main_cuts(cells, window)
         if VERTICAL in found:
             mid = (x1 + x2) // 2
-            west = tuple(c for c in cells if c[1] <= mid)
-            east = tuple(c for c in cells if c[0] >= mid)
-            for left in go((x1, mid, y1, y2), west):
-                for right in go((mid, x2, y1, y2), east):
-                    tree = (trees.H, left, right)
-                    results[trees.canonical_key(tree)] = tree
+            west = go((x1, mid, y1, y2), tuple(c for c in cells if c[1] <= mid))
+            east = go((mid, x2, y1, y2), tuple(c for c in cells if c[0] >= mid))
+            results += [(trees.H, left, right) for left in west for right in east]
         if HORIZONTAL in found:
             mid = (y1 + y2) // 2
-            south = tuple(c for c in cells if c[3] <= mid)
-            north = tuple(c for c in cells if c[2] >= mid)
-            for bottom in go((x1, x2, y1, mid), south):
-                for top in go((x1, x2, mid, y2), north):
-                    tree = (trees.V, bottom, top)
-                    results[trees.canonical_key(tree)] = tree
+            south = go((x1, x2, y1, mid), tuple(c for c in cells if c[3] <= mid))
+            north = go((x1, x2, mid, y2), tuple(c for c in cells if c[2] >= mid))
+            results += [(trees.V, bottom, top) for bottom in south for top in north]
         if not results:
             raise NotDyadicError(f"window {_rect(p.den, window)} admits no main cut")
-        return tuple(results.values())
+        return tuple(results)
 
     return go((0, p.den, 0, p.den), p.cells)
 

@@ -15,7 +15,7 @@ only ints.
 * A leaf stays its label, an int >= 0.  A node is a negative int id,
   interned on the key ``(op, child, ...)`` of its child ids, so hashing and
   comparing a key is shallow, and a subtree shared by many states is one
-  id.  The index is a dict whose ``__missing__`` interns the key, so a
+  id.  The store is a dict whose ``__missing__`` interns the key, so a
   node seen before costs one lookup.  A monomial, binary or alternating,
   is flattened and interned in one pass.
 * ``_Store.successors(n)`` is a flat list of the ids of ``n``'s
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterator
 
-from .assoc import AltTree, alt_is_leaf, right_comb, to_alternating
+from .assoc import AltTree, right_comb, to_alternating
 from .rewrite import (
     ALL_FAMILIES,
     BACKWARD,
@@ -99,8 +99,8 @@ Chain = list[tuple[AltTree, Move]]  # (state, move taken there), in order
 # Hash-consed states
 # ---------------------------------------------------------------------------
 
-class _Index(dict):
-    """Node key -> node id; looking up a missing key interns it."""
+class _Store(dict):
+    """Interned alternating trees of one search; see the module docstring."""
 
     __slots__ = ("keys", "memo")
 
@@ -113,17 +113,6 @@ class _Index(dict):
         self.keys.append(key)
         self.memo.append(None)
         return nid
-
-
-class _Store:
-    """Interned alternating trees of one search; see the module docstring."""
-
-    __slots__ = ("index", "keys", "memo")
-
-    def __init__(self) -> None:
-        self.index = _Index()
-        self.keys = self.index.keys
-        self.memo = self.index.memo
 
     def from_binary(self, t: Tree) -> int:
         """Flatten and intern a monomial, binary or alternating, in one pass."""
@@ -140,7 +129,7 @@ class _Store:
                 stack += sub[:0:-1]
             else:
                 parts.append(self.from_binary(sub))
-        return self.index[(op, *parts)]
+        return self[(op, *parts)]
 
     def tree(self, n: int) -> AltTree:
         if n >= 0:
@@ -187,7 +176,7 @@ class _Store:
         operation.  A lone leaf brings itself, a lone node (which carries
         that operation) its own children, and several children one node
         grouping them under ``n``'s operation."""
-        keys, index = self.keys, self.index
+        keys, index = self.keys, self
         key = keys[~n]
         op, first, last = key[0], key[1], key[-1]
         first_alone = keys[~first][1:] if first < 0 else (first,)
@@ -209,7 +198,7 @@ class _Store:
         """
         if n >= 0:
             return []
-        index, keys, memo = self.index, self.keys, self.memo
+        index, keys, memo = self, self.keys, self.memo
         key = keys[~n]
         op, kids = key[0], key[1:]
         opp = opposite(op)
@@ -547,8 +536,8 @@ def _find_commutations_binary(
 def interchange_neighbours_exist(tree: AltTree) -> bool:
     """True iff some binary representative contains an interchange redex,
     that is, iff some node has two adjacent non-leaf children."""
-    if alt_is_leaf(tree):
+    if is_leaf(tree):
         return False
     kids = tree[1:]
-    adjacent = any(not alt_is_leaf(a) and not alt_is_leaf(b) for a, b in pairwise(kids))
+    adjacent = any(not is_leaf(a) and not is_leaf(b) for a, b in pairwise(kids))
     return adjacent or any(map(interchange_neighbours_exist, kids))

@@ -10,6 +10,11 @@ and compare fast in the rewriting closures:
 
 A *standard* monomial has leaf labels forming a permutation of 1..n.  The
 shape of a monomial is the same tree with all labels set to 0.
+
+``arity``, ``leaf_labels`` and ``strip_labels`` read a node of any width,
+``(op, child1, ..., childk)``, so they serve the alternating trees of
+``assoc`` as well: a binary monomial is an alternating-format tuple whose
+every node has two children.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ def is_leaf(t: Tree) -> bool:
 def arity(t: Tree) -> int:
     if is_leaf(t):
         return 1
-    return arity(t[1]) + arity(t[2])
+    return sum(map(arity, t[1:]))
 
 
 def leaf_labels(t: Tree) -> tuple[int, ...]:
@@ -58,8 +63,7 @@ def leaf_labels(t: Tree) -> tuple[int, ...]:
         if is_leaf(node):
             out.append(node)
         else:
-            stack.append(node[2])
-            stack.append(node[1])
+            stack += node[:0:-1]  # the children, last first
     return tuple(out)
 
 
@@ -72,7 +76,7 @@ def strip_labels(t: Tree) -> Tree:
     """Forget the leaf permutation (every label becomes 0)."""
     if is_leaf(t):
         return 0
-    return (t[0], strip_labels(t[1]), strip_labels(t[2]))
+    return (t[0], *map(strip_labels, t[1:]))
 
 
 def with_identity_labels(t: Tree) -> Tree:
@@ -119,11 +123,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse_monomial(
-    text: str,
-    names: dict[str, int] | None = None,
-    require_standard: bool = True,
-) -> Tree:
+def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
     """Parse monomial text into a tree.
 
     Identifiers of the form ``x<k>`` map to argument index k; any other
@@ -145,7 +145,7 @@ def parse_monomial(
         return k
 
     def leaf_for(word: str, offset: int) -> int:
-        if require_standard and word in seen_here:
+        if word in seen_here:
             raise MonomialSyntaxError(f"duplicate leaf identifier {word!r}", offset)
         seen_here.add(word)
         if word in assigned:
@@ -156,7 +156,7 @@ def parse_monomial(
                 raise MonomialSyntaxError("leaf indices are 1-based", offset)
         else:
             idx = next_index()
-        if require_standard and idx in assigned.values():
+        if idx in assigned.values():
             raise MonomialSyntaxError(f"leaf index {idx} already used", offset)
         assigned[word] = idx
         return idx
@@ -191,16 +191,16 @@ def parse_monomial(
     tree = parse_expr()
     if pos != len(tokens):
         raise MonomialSyntaxError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
-    if require_standard and not is_standard(tree):
+    if not is_standard(tree):
         raise MonomialSyntaxError("leaf labels do not form a permutation of 1..n", 0)
     return tree
 
 
-def format_monomial(t: Tree, names: Mapping[int, str] | None = None) -> str:
+def format_monomial(t: Tree) -> str:
     """Pretty-print with every internal node parenthesized; reparses equal."""
     if is_leaf(t):
-        return names[t] if names else f"x{t}"
-    return f"({format_monomial(t[1], names)} {t[0]} {format_monomial(t[2], names)})"
+        return f"x{t}"
+    return f"({format_monomial(t[1])} {t[0]} {format_monomial(t[2])})"
 
 
 def to_word(t: Tree) -> str:

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from medial.assoc import (
-    alt_arity,
-    alt_leaf_labels,
     assoc_class_size,
     binary_representatives,
     enumerate_alternating,
@@ -15,6 +13,8 @@ from medial.assoc import (
 )
 from medial.rewrite import ASSOC_FAMILIES, closure
 from medial.trees import H, V, enumerate_shapes, opposite, random_shape
+from medial.trees import arity as alt_arity
+from medial.trees import leaf_labels as alt_leaf_labels
 
 
 def test_flattening_examples():

@@ -1,6 +1,6 @@
 import pytest
 
-from medial.assoc import alt_strip, binary_representatives, to_alternating
+from medial.assoc import binary_representatives, to_alternating
 from medial.counts import (
     ALTERNATING_COUNTS,
     ISOLATED_COUNTS,
@@ -13,6 +13,7 @@ from medial.counts import (
 )
 from medial.rewrite import INTERCHANGE_ONLY, successors
 from medial.trees import H, V, shape_count, strip_labels
+from medial.trees import strip_labels as alt_strip
 
 
 def test_graph_small_arities():

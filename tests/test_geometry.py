@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -40,10 +41,12 @@ from medial.geometry import (
     unit_square,
     vjoin,
 )
+from medial.geometry import _main_cuts
 from medial.trees import (
     H,
     V,
     arity,
+    canonical_key,
     dihedral_elements,
     enumerate_shapes,
     parse_monomial,
@@ -347,3 +350,102 @@ def test_bisect_ordinals_track_sorted_order():
     assert len(q) == 3
     with pytest.raises(IndexError):
         build_dyadic([(1, "x"), (4, "y")])
+
+
+def _keyed_fiber(p):
+    """Reference for ``fiber``: the product of each split rebuilt per tree of
+    its first half, every tree keyed by its canonical encoding, so that a
+    duplicate would collapse instead of being listed twice."""
+    if None in p.labels():
+        p = p.with_lex_labels()
+
+    def go(window, cells):
+        if len(cells) == 1:
+            return (cells[0][4],)
+        results = {}
+        x1, x2, y1, y2 = window
+        found = _main_cuts(cells, window)
+        if VERTICAL in found:
+            mid = (x1 + x2) // 2
+            west = tuple(c for c in cells if c[1] <= mid)
+            east = tuple(c for c in cells if c[0] >= mid)
+            for left in go((x1, mid, y1, y2), west):
+                for right in go((mid, x2, y1, y2), east):
+                    tree = (H, left, right)
+                    results[canonical_key(tree)] = tree
+        if HORIZONTAL in found:
+            mid = (y1 + y2) // 2
+            south = tuple(c for c in cells if c[3] <= mid)
+            north = tuple(c for c in cells if c[2] >= mid)
+            for bottom in go((x1, x2, y1, mid), south):
+                for top in go((x1, x2, mid, y2), north):
+                    tree = (V, bottom, top)
+                    results[canonical_key(tree)] = tree
+        if not results:
+            raise NotDyadicError(f"window {window} admits no main cut")
+        return tuple(results.values())
+
+    return go((0, p.den, 0, p.den), p.cells)
+
+
+def test_fiber_order_matches_the_keyed_reference():
+    # every partition to arity 7 and every arity-8 search candidate
+    parts = [p for n in range(1, 8) for p in enumerate_partitions(n)] + grid_partitions(8)
+    for p in parts:
+        p = p.with_lex_labels()
+        got = fiber(p)
+        assert got == _keyed_fiber(p)
+        assert len(set(got)) == len(got)
+
+
+def _uncovered_sides(p):
+    """The block sides strictly inside the square that lie under no cut,
+    on the partition's integer grid."""
+    den = p.den
+    spans = {}
+    for cut in cuts(p):
+        key = (cut.orientation, int(cut.coordinate * den))
+        spans.setdefault(key, []).append((int(cut.lo * den), int(cut.hi * den)))
+    out = []
+    for x1, x2, y1, y2, label in p.cells:
+        for side in (
+            (VERTICAL, x1, y1, y2),
+            (VERTICAL, x2, y1, y2),
+            (HORIZONTAL, y1, x1, x2),
+            (HORIZONTAL, y2, x1, x2),
+        ):
+            orientation, c, lo, hi = side
+            under = spans.get((orientation, c), ())
+            if 0 < c < den and not any(a <= lo and hi <= z for a, z in under):
+                out.append((label, side))
+    return out
+
+
+def test_every_inner_block_side_lies_under_a_cut():
+    thirds = BlockPartition(
+        (
+            Block(F(0), F(1, 2), F(0), F(1, 3), 1),
+            Block(F(1, 2), F(1), F(0), F(2, 3), 2),
+            Block(F(0), F(1, 2), F(1, 3), F(1), 3),
+            Block(F(1, 2), F(1), F(2, 3), F(1), 4),
+        )
+    )
+    t_shape = BlockPartition(
+        (
+            Block(F(0), F(1, 2), F(0), F(1), 1),
+            Block(F(1, 2), F(1), F(0), F(1, 2), 2),
+            Block(F(1, 2), F(1), F(1, 2), F(1), 3),
+        )
+    )
+    golden = Path(__file__).parent / "golden"
+    parsed = [thirds, t_shape] + [
+        parse_partition(format_partition(realize(t)))
+        for t in [(V, (H, 1, 2), (H, 3, 4)), (H, (V, 1, 2), 3)]
+    ]
+    parsed += [parse_partition(f.read_text()) for f in sorted(golden.glob("*.partition"))]
+    # non-dyadic: thirds and halves mixed in one grid
+    composed = [compose_partition(thirds, i, q) for i in range(1, 5) for q in (GRID, thirds)]
+    composed += [compose_partition(GRID, i, thirds) for i in range(1, 5)]
+    every = [p for n in range(1, 8) for p in enumerate_partitions(n)]
+    for p in every + parsed + composed:
+        assert _uncovered_sides(p) == []

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from medial.assoc import (
-    alt_is_leaf,
-    alt_strip,
     binary_representatives,
     enumerate_alternating,
     right_comb,
@@ -32,6 +30,8 @@ from medial.rewrite import (
     successors,
 )
 from medial.trees import H, V, enumerate_shapes, opposite, parse_monomial, random_shape, relabel
+from medial.trees import is_leaf as alt_is_leaf
+from medial.trees import strip_labels as alt_strip
 
 
 def _binary_route_neighbours(a):
