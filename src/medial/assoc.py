@@ -12,14 +12,17 @@ same operation as its parent) computes its class modulo associativity; the
 binary trees in one class are exactly the bracketings of the alternating
 tree, one bracketing per node chosen independently.
 
-The leaf test, ``arity``, ``leaf_labels`` and ``strip_labels`` are the
-``trees`` functions, which read a node of any width.
+Every helper here reads a node of any width, as do those of ``trees``
+(the leaf test, ``arity``, ``leaf_labels``, ``relabel``, the symmetries and
+the rest), which serve alternating trees too.  The ``trees`` helpers bound
+to the binary grammar are ``parse_monomial``, ``format_monomial``,
+``enumerate_shapes`` and ``random_shape``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .trees import OPS, Tree, catalan, is_leaf, opposite
 
@@ -42,6 +45,7 @@ def is_alternating(a: AltTree) -> bool:
 def to_alternating(t: Tree) -> AltTree:
     """Flatten equal-operation parent/child pairs to a fixpoint.
 
+    Reads a node of any width, so an alternating tree is its own form.
     The flattening system is confluent, so the bottom-up order here is a
     determinism choice, not a correctness requirement.
     """
@@ -49,7 +53,7 @@ def to_alternating(t: Tree) -> AltTree:
         return t
     op = t[0]
     parts: list[AltTree] = []
-    for side in (t[1], t[2]):
+    for side in t[1:]:
         sub = to_alternating(side)
         if not is_leaf(sub) and sub[0] == op:
             parts.extend(sub[1:])
@@ -81,16 +85,19 @@ def binary_representatives(a: AltTree) -> Iterator[Tree]:
     yield from brackets(a[1:])
 
 
+def comb(op: str, parts: Sequence[Tree]) -> Tree:
+    """The right comb ``p1 op (p2 op (... op pk))`` of one or more parts."""
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = (op, part, out)
+    return out
+
+
 def right_comb(a: AltTree) -> Tree:
     """Canonical bracketing: right comb at every node."""
     if is_leaf(a):
         return a
-    op = a[0]
-    combed = [right_comb(c) for c in a[1:]]
-    out = combed[-1]
-    for child in reversed(combed[:-1]):
-        out = (op, child, out)
-    return out
+    return comb(a[0], tuple(map(right_comb, a[1:])))
 
 
 def assoc_class_size(a: AltTree) -> int:

@@ -235,18 +235,10 @@ def cmd_search(args) -> int:
             continue
         if slices is not None:
             lo, hi = slices
-            ok = True
-            for direction in (geometry.HORIZONTAL, geometry.VERTICAL):
-                if direction not in geometry.main_cuts(part):
-                    ok = False
-                    break
-                _, slabs = geometry.primary_cuts_and_slices(
-                    part, geometry.UNIT_RECT, direction
-                )
-                if not lo <= len(slabs) <= hi:
-                    ok = False
-                    break
-            if not ok:
+            if len(geometry.main_cuts(part)) < 2 or not all(
+                lo <= len(geometry.primary_cuts_and_slices(part, geometry.UNIT_RECT, d)[1]) <= hi
+                for d in (geometry.HORIZONTAL, geometry.VERTICAL)
+            ):
                 skipped += 1
                 continue
         examined += 1

@@ -257,7 +257,8 @@ def _cut_depths(t: Tree) -> tuple[int, int]:
 
 
 def realize(t: Tree) -> BlockPartition:
-    """Geometric realization: h joins east, v joins north, labels from leaves."""
+    """Geometric realization of a binary monomial: h joins east, v joins
+    north, labels from leaves."""
     # On a 2^d grid, d the larger cut depth, every split is integral, and
     # the deepest split on that axis lands on an odd coordinate, so the
     # grid is already in lowest terms.

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterator
 
-from .assoc import AltTree, right_comb, to_alternating
+from .assoc import AltTree, comb, right_comb, to_alternating
 from .rewrite import (
     ALL_FAMILIES,
     BACKWARD,
@@ -70,7 +70,6 @@ from .rewrite import (
     RewriteError,
     RewriteStep,
     apply_redex,
-    assoc_path,
     certificate_from_path,
     closure,
     comb_steps,
@@ -136,17 +135,6 @@ class _Store(dict):
             return n
         key = self.keys[~n]
         return (key[0], *map(self.tree, key[1:]))
-
-    def labels(self, n: int) -> list[int]:
-        out: list[int] = []
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m >= 0:
-                out.append(m)
-            else:
-                stack.extend(reversed(self.keys[~m][1:]))
-        return out
 
     def same_shape(self, a: int, b: int) -> bool:
         """True iff ``a`` and ``b`` have the same operation-labelled shape.
@@ -272,20 +260,12 @@ def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
 # Expansion of a quotient move into binary steps
 # ---------------------------------------------------------------------------
 
-def _comb_chain(op: str, parts: list[Tree]) -> Tree:
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = (op, part, out)
-    return out
-
-
 def _split_rep(op: str, child: AltTree, split: int) -> Tree:
     """Binary representative of ``child`` whose root splits its list at
     ``split``; children are combed canonically below the split."""
     kids = child[1:]
-    left = _comb_chain(op, [right_comb(c) for c in kids[:split]])
-    right = _comb_chain(op, [right_comb(c) for c in kids[split:]])
-    return (op, left, right)
+    parts = tuple(map(right_comb, kids))
+    return (op, comb(op, parts[:split]), comb(op, parts[split:]))
 
 
 def _comb_position(j: int, m: int) -> Position:
@@ -305,7 +285,7 @@ def _rep_with_redex(tree: AltTree, move: Move) -> tuple[Tree, Position]:
     opp = opposite(op)
     parts = [right_comb(c) for c in kids]
     parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
-    rep = replace_at(right_comb(tree), pos, _comb_chain(op, parts))
+    rep = replace_at(right_comb(tree), pos, comb(op, parts))
     return rep, pos + _comb_position(i, len(parts))
 
 
@@ -406,8 +386,7 @@ def check_equivalence(
     store = _Store()
     u1, u2 = store.from_binary(t1), store.from_binary(t2)
     if u1 == u2:
-        steps = assoc_path(t1, t2)
-        return EquivalenceResult(Certificate(t1, steps, t2), False, 0)
+        return EquivalenceResult(_certificate(t1, [], t2, []), False, 0)
 
     sides = (Frontier(store.successors, u1), Frontier(store.successors, u2))
 
@@ -491,7 +470,7 @@ def find_commutations(
     for state in search.parents:  # in discovery order
         # an interned state other than the root is never the identity
         if state != root and store.same_shape(state, root):
-            sigma = dict(zip(store.labels(root), store.labels(state)))
+            sigma = dict(zip(leaf_labels(t), leaf_labels(store.tree(state))))
             found.setdefault(tuple(sigma[k] for k in sorted(sigma)), state)
     witnesses = []
     for perm, state in sorted(found.items()):

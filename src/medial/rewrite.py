@@ -1,6 +1,8 @@
 """Undirected rewriting on binary monomials.
 
-Three rule families, each usable in both directions:
+Every function here takes binary monomials, every node with two children;
+``quotient`` handles the alternating trees.  Three rule families, each
+usable in both directions:
 
     assoc_h      (p h q) h r  <->  p h (q h r)
     assoc_v      (p v q) v r  <->  p v (q v r)

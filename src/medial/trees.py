@@ -1,32 +1,43 @@
-"""Tree monomials over two binary operations.
+"""Tree monomials over two operations.
 
-A monomial is a complete rooted binary plane tree whose internal nodes carry
-one of two operation symbols: ``h`` (horizontal) or ``v`` (vertical).  Leaves
-carry 1-based argument indices.  Trees are plain nested tuples so they hash
-and compare fast in the rewriting closures:
+Internal nodes carry one of two operation symbols: ``h`` (horizontal) or
+``v`` (vertical).  Leaves carry 1-based argument indices.  Trees are plain
+nested tuples so they hash and compare fast in the rewriting closures:
 
     leaf       -> int (the argument index)
-    internal   -> (op, left, right) with op in {"h", "v"}
+    internal   -> (op, child1, ..., childk) with op in {"h", "v"}, k >= 2
 
-A *standard* monomial has leaf labels forming a permutation of 1..n.  The
+A binary monomial, the paper's tree monomial, has k = 2 at every node; the
+alternating trees of ``assoc`` are the same tuples with wider nodes.  A
+*standard* monomial has leaf labels forming a permutation of 1..n.  The
 shape of a monomial is the same tree with all labels set to 0.
 
-``arity``, ``leaf_labels`` and ``strip_labels`` read a node of any width,
-``(op, child1, ..., childk)``, so they serve the alternating trees of
-``assoc`` as well: a binary monomial is an alternating-format tuple whose
-every node has two children.
+Every helper here reads a node of any width.  The leaf substitutions
+(``strip_labels``, ``with_identity_labels``, ``relabel`` and
+``partial_compose``) are one walk, ``_map_leaves``, and the symmetries of
+the square are one pass, ``DihedralElement.apply``.  Four helpers are bound
+to the binary grammar: ``parse_monomial`` and ``format_monomial`` (the text
+form is binary; ``format_monomial`` raises ``ValueError`` on a wider node),
+``enumerate_shapes`` and ``random_shape``.
+
+``parse_monomial`` is also where text input meets the recursive walkers of
+the package: it refuses nesting deeper than ``NESTING_LIMIT``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import count
+from typing import Callable, Iterator, Mapping
 
 H = "h"
 V = "v"
 OPS = (H, V)
 SHAPE_ARITY_LIMIT = 10
+# The tree walkers recurse once or twice a level under Python's default
+# recursion limit of 1000; a parsed monomial nests at most this deep.
+NESTING_LIMIT = 400
 
 Tree = int | tuple
 Position = tuple[int, ...]
@@ -72,30 +83,31 @@ def is_standard(t: Tree) -> bool:
     return sorted(labels) == list(range(1, len(labels) + 1))
 
 
-def strip_labels(t: Tree) -> Tree:
-    """Forget the leaf permutation (every label becomes 0)."""
-    if is_leaf(t):
-        return 0
-    return (t[0], *map(strip_labels, t[1:]))
-
-
-def with_identity_labels(t: Tree) -> Tree:
-    """Relabel leaves 1..n left to right."""
-    counter = iter(range(1, arity(t) + 1))
+def _map_leaves(t: Tree, leaf: Callable[[int], Tree]) -> Tree:
+    """``t`` with each leaf k replaced by ``leaf(k)``, called left to right."""
 
     def go(node: Tree) -> Tree:
         if is_leaf(node):
-            return next(counter)
-        return (node[0], go(node[1]), go(node[2]))
+            return leaf(node)
+        return (node[0], *map(go, node[1:]))
 
     return go(t)
 
 
+def strip_labels(t: Tree) -> Tree:
+    """Forget the leaf permutation (every label becomes 0)."""
+    return _map_leaves(t, lambda k: 0)
+
+
+def with_identity_labels(t: Tree) -> Tree:
+    """Relabel leaves 1..n left to right."""
+    counter = count(1)
+    return _map_leaves(t, lambda k: next(counter))
+
+
 def relabel(t: Tree, mapping: Mapping[int, int]) -> Tree:
     """Apply a label substitution to every leaf (identity where unmapped)."""
-    if is_leaf(t):
-        return mapping.get(t, t)
-    return (t[0], relabel(t[1], mapping), relabel(t[2], mapping))
+    return _map_leaves(t, lambda k: mapping.get(k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,7 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
         assigned[word] = idx
         return idx
 
-    def parse_expr() -> Tree:
+    def parse_expr(depth: int) -> Tree:
         nonlocal pos
         if pos >= len(tokens):
             raise MonomialSyntaxError("unexpected end of input", len(text))
@@ -170,15 +182,17 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
             pos += 1
             return leaf_for(value, offset)
         if kind == "(":
+            if depth == NESTING_LIMIT:
+                raise MonomialSyntaxError(f"nesting deeper than {NESTING_LIMIT} levels", offset)
             pos += 1
-            left = parse_expr()
+            left = parse_expr(depth + 1)
             if pos >= len(tokens):
                 raise MonomialSyntaxError("unexpected end of input", len(text))
             kind2, op, off2 = tokens[pos]
             if kind2 != "word" or op not in OPS:
                 raise MonomialSyntaxError("expected operation 'h' or 'v'", off2)
             pos += 1
-            right = parse_expr()
+            right = parse_expr(depth + 1)
             if pos >= len(tokens):
                 raise MonomialSyntaxError("unexpected end of input", len(text))
             kind3, _, off3 = tokens[pos]
@@ -188,7 +202,7 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
             return (op, left, right)
         raise MonomialSyntaxError(f"unexpected token {value!r}", offset)
 
-    tree = parse_expr()
+    tree = parse_expr(0)
     if pos != len(tokens):
         raise MonomialSyntaxError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
     if not is_standard(tree):
@@ -197,9 +211,15 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
 
 
 def format_monomial(t: Tree) -> str:
-    """Pretty-print with every internal node parenthesized; reparses equal."""
+    """Pretty-print with every internal node parenthesized; reparses equal.
+
+    The grammar is binary: a node without exactly two children raises
+    ``ValueError``.
+    """
     if is_leaf(t):
         return f"x{t}"
+    if len(t) != 3:
+        raise ValueError(f"a {t[0]} node with {len(t) - 1} children has no binary text form")
     return f"({format_monomial(t[1])} {t[0]} {format_monomial(t[2])})"
 
 
@@ -209,12 +229,12 @@ def to_word(t: Tree) -> str:
     Variables are renumbered x1..xn left to right (identity permutation);
     H/V name the two operations.
     """
-    counter = iter(range(1, arity(t) + 1))
+    counter = count(1)
 
     def go(node: Tree) -> str:
         if is_leaf(node):
             return f"x{next(counter)}"
-        return f"{node[0].upper()}({go(node[1])},{go(node[2])})"
+        return f"{node[0].upper()}({','.join(map(go, node[1:]))})"
 
     return go(t)
 
@@ -237,10 +257,8 @@ def replace_at(t: Tree, position: Position, replacement: Tree) -> Tree:
         return replacement
     if is_leaf(t):
         raise IndexError(f"position {position} runs past a leaf")
-    step, rest = position[0], position[1:]
-    if step == 0:
-        return (t[0], replace_at(t[1], rest, replacement), t[2])
-    return (t[0], t[1], replace_at(t[2], rest, replacement))
+    k = position[0] + 1
+    return (*t[:k], replace_at(t[k], position[1:], replacement), *t[k + 1 :])
 
 
 def positions(t: Tree) -> Iterator[tuple[Position, Tree]]:
@@ -250,8 +268,7 @@ def positions(t: Tree) -> Iterator[tuple[Position, Tree]]:
         pos, node = stack.pop()
         yield pos, node
         if not is_leaf(node):
-            stack.append((pos + (1,), node[2]))
-            stack.append((pos + (0,), node[1]))
+            stack += [(pos + (j,), node[j + 1]) for j in reversed(range(len(node) - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -266,42 +283,22 @@ def partial_compose(t: Tree, i: int, u: Tree) -> Tree:
     m, n = arity(t), arity(u)
     if not 1 <= i <= m:
         raise IndexError(f"argument index {i} out of range 1..{m}")
-
-    def go(node: Tree) -> Tree:
-        if is_leaf(node):
-            if node == i:
-                return relabel(u, {k: i + k - 1 for k in leaf_labels(u)})
-            return node + n - 1 if node > i else node
-        return (node[0], go(node[1]), go(node[2]))
-
-    return go(t)
+    grafted = _map_leaves(u, lambda k: k + i - 1)
+    return _map_leaves(t, lambda k: grafted if k == i else k + n - 1 if k > i else k)
 
 
 # ---------------------------------------------------------------------------
 # Dihedral symmetry action
 # ---------------------------------------------------------------------------
 
-def _flip(t: Tree, op: str) -> Tree:
-    if is_leaf(t):
-        return t
-    left, right = _flip(t[1], op), _flip(t[2], op)
-    if t[0] == op:
-        left, right = right, left
-    return (t[0], left, right)
-
-
-def _transpose(t: Tree) -> Tree:
-    if is_leaf(t):
-        return t
-    return (opposite(t[0]), _transpose(t[1]), _transpose(t[2]))
-
-
 @dataclass(frozen=True)
 class DihedralElement:
     """Symmetry of the square acting on tree monomials.
 
     Written in the normal form transpose^t . fliph^a . flipv^b; ``apply``
-    performs the flips first, then the transposition.
+    performs the flips first, then the transposition: one pass reverses the
+    children of every flipped node and swaps the operations when
+    transposing.
     """
 
     transpose: bool = False
@@ -309,13 +306,16 @@ class DihedralElement:
     flip_v: bool = False
 
     def apply(self, t: Tree) -> Tree:
-        if self.flip_h:
-            t = _flip(t, H)
-        if self.flip_v:
-            t = _flip(t, V)
-        if self.transpose:
-            t = _transpose(t)
-        return t
+        flipped = {H: self.flip_h, V: self.flip_v}
+        image = {H: V, V: H} if self.transpose else {H: H, V: V}
+
+        def go(node: Tree) -> Tree:
+            if is_leaf(node):
+                return node
+            op = node[0]
+            return (image[op], *map(go, node[:0:-1] if flipped[op] else node[1:]))
+
+        return go(t)
 
     def compose(self, other: "DihedralElement") -> "DihedralElement":
         """Element acting as self after other: (self*other).apply = self.apply . other.apply."""
@@ -402,7 +402,13 @@ def random_shape(n: int, rng: random.Random) -> Tree:
 # ---------------------------------------------------------------------------
 
 def canonical_key(t: Tree) -> bytes:
-    """Prefix-free preorder encoding; injective on trees."""
+    """Prefix-free preorder encoding; injective on trees of any width.
+
+    A leaf is 0x00 and its label, a node its operation tag (0x01 for h,
+    0x02 for v), its width and its children, all numbers as varints.  On
+    binary trees the width is always 2, so the sort order of keys is that
+    of the encoding without it.
+    """
     out = bytearray()
 
     def emit_varint(k: int) -> None:
@@ -417,8 +423,9 @@ def canonical_key(t: Tree) -> bytes:
             emit_varint(node)
         else:
             out.append(0x01 if node[0] == H else 0x02)
-            go(node[1])
-            go(node[2])
+            emit_varint(len(node) - 1)
+            for child in node[1:]:
+                go(child)
 
     go(t)
     return bytes(out)

@@ -12,9 +12,20 @@ from medial.assoc import (
     to_alternating,
 )
 from medial.rewrite import ASSOC_FAMILIES, closure
-from medial.trees import H, V, enumerate_shapes, opposite, random_shape
-from medial.trees import arity as alt_arity
-from medial.trees import leaf_labels as alt_leaf_labels
+from medial.trees import (
+    H,
+    V,
+    arity,
+    dihedral_elements,
+    enumerate_shapes,
+    leaf_labels,
+    opposite,
+    partial_compose,
+    random_shape,
+    relabel,
+    strip_labels,
+    with_identity_labels,
+)
 
 
 def test_flattening_examples():
@@ -28,7 +39,7 @@ def test_alternating_invariant_holds():
         for t in enumerate_shapes(n):
             a = to_alternating(t)
             assert is_alternating(a)
-            assert alt_arity(a) == n
+            assert arity(a) == n
 
 
 def test_flattening_is_a_fixpoint():
@@ -86,7 +97,7 @@ def test_enumerate_alternating_is_deterministic():
     assert list(enumerate_alternating(5)) == list(enumerate_alternating(5))
     seen = set(enumerate_alternating(5))
     assert len(seen) == 90
-    assert all(alt_leaf_labels(a) == tuple(range(1, 6)) for a in seen)
+    assert all(leaf_labels(a) == tuple(range(1, 6)) for a in seen)
 
 
 def _recursive_rooted(op, size, offset):
@@ -161,3 +172,27 @@ def test_right_comb_is_canonical_bracketing():
 def test_format_alternating():
     assert format_alternating((H, 1, 2, 3)) == "(x1 x2 x3)_h"
     assert format_alternating((V, 1, (H, 2, 3))) == "(x1 (x2 x3)_h)_v"
+
+
+def test_tree_helpers_commute_with_flattening():
+    # the trees helpers read any width, so each gives the same alternating
+    # tree whether it runs before or after to_alternating
+    rng = random.Random(31)
+    for _ in range(300):
+        t = random_shape(rng.randint(1, 9), rng)
+        a = to_alternating(t)
+        assert to_alternating(a) == a
+        for g in dihedral_elements():
+            assert to_alternating(g.apply(t)) == g.apply(a)
+        images = list(range(1, arity(t) + 1))
+        rng.shuffle(images)
+        sigma = dict(zip(range(1, arity(t) + 1), images))
+        r = relabel(t, sigma)
+        assert to_alternating(r) == relabel(a, sigma)
+        assert to_alternating(with_identity_labels(r)) == with_identity_labels(to_alternating(r))
+        assert to_alternating(strip_labels(t)) == strip_labels(a)
+        u = random_shape(rng.randint(1, 4), rng)
+        i = rng.randint(1, arity(t))
+        # grafting u under a node of its root operation needs a final flatten
+        want = to_alternating(partial_compose(t, i, u))
+        assert to_alternating(partial_compose(a, i, to_alternating(u))) == want

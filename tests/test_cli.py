@@ -144,6 +144,45 @@ def test_search_monomial_syntax_error(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _deep_comb(depth):
+    """An h/v left comb whose last leaf sits ``depth`` parentheses deep."""
+    text = "x1"
+    for k in range(2, depth + 2):
+        text = f"({text} {'hv'[k % 2]} x{k})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--monomial"],
+        ["search", "--no-require-main-cuts", "--monomial"],
+        ["render", "--monomial"],
+        ["render", "--input"],
+    ],
+)
+def test_deep_nesting_is_a_usage_error(argv, tmp_path, capsys):
+    text = _deep_comb(2000)
+    if argv[-1] == "--input":
+        src = tmp_path / "deep.txt"
+        src.write_text(text)
+        text = str(src)
+    assert main([*argv, text]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: nesting deeper than") and captured.err.count("\n") == 1
+
+
+def test_nesting_at_the_limit_runs(capsys):
+    from medial.trees import NESTING_LIMIT
+
+    text = _deep_comb(NESTING_LIMIT)
+    assert main(["search", "--monomial", text]) == PASS
+    assert main(["search", "--no-require-main-cuts", "--monomial", text]) == PASS
+    assert main(["render", "--monomial", text, "--format", "svg"]) == PASS
+    assert capsys.readouterr().err == ""
+
+
 def test_search_seeded_config_a(capsys):
     rel_text = "(((a h b) v (c h (d v e))) h (((f v g) h h) v (i h j)))"
     assert main(["search", "--monomial", rel_text]) == PASS

@@ -13,7 +13,6 @@ from medial.counts import (
 )
 from medial.rewrite import INTERCHANGE_ONLY, successors
 from medial.trees import H, V, shape_count, strip_labels
-from medial.trees import strip_labels as alt_strip
 
 
 def test_graph_small_arities():
@@ -59,7 +58,7 @@ def test_graph_edges_match_binary_interchanges():
         for i, v in enumerate(g.vertices):
             for rep in binary_representatives(v):
                 for _, res in successors(rep, families=INTERCHANGE_ONLY):
-                    j = index[alt_strip(to_alternating(res))]
+                    j = index[strip_labels(to_alternating(res))]
                     if i != j:
                         edges.add((min(i, j), max(i, j)))
         assert edges == set(g.edges)

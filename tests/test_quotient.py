@@ -29,9 +29,17 @@ from medial.rewrite import (
     replay_certificate,
     successors,
 )
-from medial.trees import H, V, enumerate_shapes, opposite, parse_monomial, random_shape, relabel
-from medial.trees import is_leaf as alt_is_leaf
-from medial.trees import strip_labels as alt_strip
+from medial.trees import (
+    H,
+    V,
+    enumerate_shapes,
+    is_leaf,
+    opposite,
+    parse_monomial,
+    random_shape,
+    relabel,
+    strip_labels,
+)
 
 
 def _binary_route_neighbours(a):
@@ -63,16 +71,16 @@ def _tuple_alt_successors(tree):
     stack = [((), tree)]
     while stack:
         path, node = stack.pop()
-        if alt_is_leaf(node):
+        if is_leaf(node):
             continue
         opp = opposite(node[0])
         kids = node[1:]
         for j, child in enumerate(kids):
-            if not alt_is_leaf(child):
+            if not is_leaf(child):
                 stack.append((path + (j,), child))
         for i in range(len(kids) - 1):
             A, B = kids[i], kids[i + 1]
-            if alt_is_leaf(A) or alt_is_leaf(B):
+            if is_leaf(A) or is_leaf(B):
                 continue
             if A[0] != opp or B[0] != opp:
                 continue
@@ -80,12 +88,6 @@ def _tuple_alt_successors(tree):
                 for sb in range(1, len(B) - 1):
                     move = (path, i, sa, sb)
                     yield move, apply_move(tree, move)
-
-
-def _alt_relabel(a, sigma):
-    if alt_is_leaf(a):
-        return sigma[a]
-    return (a[0],) + tuple(_alt_relabel(c, sigma) for c in a[1:])
 
 
 def test_moves_match_tuple_enumeration_in_order():
@@ -96,10 +98,10 @@ def test_moves_match_tuple_enumeration_in_order():
         for a in enumerate_alternating(n):
             images = list(range(1, n + 1))
             rng.shuffle(images)
-            a = _alt_relabel(a, dict(zip(range(1, n + 1), images)))
+            a = relabel(a, dict(zip(range(1, n + 1), images)))
             assert list(alt_successors(a)) == list(_tuple_alt_successors(a))
     for a in enumerate_alternating(6):
-        stripped = alt_strip(a)
+        stripped = strip_labels(a)
         assert list(alt_successors(stripped)) == list(_tuple_alt_successors(stripped))
 
 
@@ -113,8 +115,8 @@ def test_store_successors_follow_moves_in_order():
         for a in enumerate_alternating(n):
             images = list(range(1, n + 1))
             rng.shuffle(images)
-            trees.append(_alt_relabel(a, dict(zip(range(1, n + 1), images))))
-    trees += [alt_strip(a) for a in enumerate_alternating(6)]
+            trees.append(relabel(a, dict(zip(range(1, n + 1), images))))
+    trees += [strip_labels(a) for a in enumerate_alternating(6)]
     store = _Store()
     for t in trees:
         got = [store.tree(c) for c in store.successors(store.from_binary(right_comb(t)))]
@@ -135,7 +137,7 @@ def test_same_shape_agrees_with_stripped_trees():
     pairs += [(node, node), (leaf, node), (node, leaf), (node, wide), (leaf, 2)]
     answers = set()
     for a, b in pairs:
-        want = alt_strip(store.tree(a)) == alt_strip(store.tree(b))
+        want = strip_labels(store.tree(a)) == strip_labels(store.tree(b))
         assert store.same_shape(a, b) == want
         answers.add(want)
     assert answers == {True, False}
@@ -386,6 +388,6 @@ def test_find_commutations_with_restricted_rules():
 
 
 def test_interchange_neighbour_existence():
-    assert not interchange_neighbours_exist(alt_strip(to_alternating((H, 1, 2))))
+    assert not interchange_neighbours_exist(strip_labels(to_alternating((H, 1, 2))))
     grid = to_alternating(parse_monomial("((a h b) v (c h d))"))
-    assert interchange_neighbours_exist(alt_strip(grid))
+    assert interchange_neighbours_exist(strip_labels(grid))

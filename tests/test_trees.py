@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from medial.assoc import enumerate_alternating
 from medial.trees import (
     FLIP_H,
     FLIP_V,
+    NESTING_LIMIT,
     TRANSPOSE,
     H,
     V,
@@ -28,6 +30,7 @@ from medial.trees import (
     strip_labels,
     subtree_at,
     to_word,
+    with_identity_labels,
 )
 
 
@@ -197,3 +200,46 @@ def test_strip_and_relabel():
     assert strip_labels(t) == (V, (H, 0, 0), 0)
     assert relabel(t, {1: 2, 2: 1}) == (V, (H, 1, 2), 3)
     assert leaf_labels(t) == (2, 1, 3)
+
+
+def test_helpers_read_every_child_of_a_wide_node():
+    wide = (H, 1, 2, 3)
+    x = (V, 4, 5)
+    assert canonical_key(wide) != canonical_key((H, 1, 2))
+    assert relabel(wide, {3: 9}) == (H, 1, 2, 9)
+    assert replace_at(wide, (2,), x) == (H, 1, 2, x)
+    assert FLIP_H.apply(wide) == (H, 3, 2, 1)
+    assert FLIP_V.apply(wide) == wide
+    assert TRANSPOSE.apply(wide) == (V, 1, 2, 3)
+    assert partial_compose(wide, 3, (V, 1, 2)) == (H, 1, 2, (V, 3, 4))
+    assert strip_labels(wide) == (H, 0, 0, 0)
+    assert with_identity_labels((H, 3, (V, 1, 4, 2))) == (H, 1, (V, 2, 3, 4))
+    assert to_word((H, 1, (V, 2, 3, 4))) == "H(x1,V(x2,x3,x4))"
+    assert list(positions(wide)) == [((), wide), ((0,), 1), ((1,), 2), ((2,), 3)]
+
+
+def test_format_monomial_refuses_a_node_of_other_width():
+    for t in ((H, 1, 2, 3), (V, 1, (H, 2, 3, 4)), (H, 1)):
+        with pytest.raises(ValueError):
+            format_monomial(t)
+
+
+def test_canonical_key_injective_on_binary_and_alternating_trees():
+    everything = set()
+    for n in range(1, 8):
+        everything.update(enumerate_shapes(n))
+        everything.update(enumerate_alternating(n))
+    assert len(everything) == 11995
+    assert len({canonical_key(t) for t in everything}) == 11995
+
+
+def test_parser_refuses_nesting_past_the_limit():
+    def comb(depth):
+        text = "x1"
+        for k in range(2, depth + 2):
+            text = f"({text} {'hv'[k % 2]} x{k})"
+        return text
+
+    assert arity(parse_monomial(comb(NESTING_LIMIT))) == NESTING_LIMIT + 1
+    with pytest.raises(MonomialSyntaxError, match="nesting deeper than"):
+        parse_monomial(comb(NESTING_LIMIT + 1))
