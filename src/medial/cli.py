@@ -7,12 +7,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import tee
 from pathlib import Path
 
 from . import catalog, counts, geometry, render
-from .quotient import check_equivalence, find_commutations
-from .rewrite import ASSOC_H, ASSOC_V, DEFAULT_BUDGET, INTERCHANGE, closure, replay_certificate
-from .trees import format_monomial, parse_monomial
+from .quotient import check_equivalence, find_commutations, scan_monomials
+from .rewrite import (
+    ALL_FAMILIES,
+    ASSOC_H,
+    ASSOC_V,
+    DEFAULT_BUDGET,
+    INTERCHANGE,
+    closure,
+    replay_certificate,
+)
+from .trees import arity, format_monomial, parse_monomial
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 
@@ -223,27 +232,34 @@ def cmd_search(args) -> int:
                 unlabeled = geometry.grid_partitions(args.arity)
             else:
                 unlabeled = geometry.enumerate_partitions(args.arity)
-            candidates = [p.with_lex_labels() for p in unlabeled]
+            candidates = (p.with_lex_labels() for p in unlabeled)
             total = geometry.partition_count(args.arity)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    examined, skipped = 0, total - len(candidates)
-    for part in candidates:
+
+    def passes_filters(part: geometry.BlockPartition) -> bool:
         if len(geometry.interior_labels(part)) < args.min_interior:
-            skipped += 1
-            continue
-        if slices is not None:
-            lo, hi = slices
-            if len(geometry.main_cuts(part)) < 2 or not all(
-                lo <= len(geometry.primary_cuts_and_slices(part, geometry.UNIT_RECT, d)[1]) <= hi
-                for d in (geometry.HORIZONTAL, geometry.VERTICAL)
-            ):
-                skipped += 1
-                continue
+            return False
+        if slices is None:
+            return True
+        lo, hi = slices
+        return len(geometry.main_cuts(part)) == 2 and all(
+            lo <= len(geometry.primary_cuts_and_slices(part, geometry.UNIT_RECT, d)[1]) <= hi
+            for d in (geometry.HORIZONTAL, geometry.VERTICAL)
+        )
+
+    # tee buffers one monomial: each scan is taken before the next is built
+    kept = (part for part in candidates if passes_filters(part))
+    reps, queries = tee(map(geometry.representative, kept))
+    families = args.rule_families
+    if families is None or families == ALL_FAMILIES:
+        scans = scan_monomials(queries, budget)
+    else:
+        scans = (find_commutations(t, budget, families) for t in queries)
+    examined = 0
+    for rep, scan in zip(reps, scans):
         examined += 1
-        rep = geometry.fiber(part)[0]
-        scan = find_commutations(rep, budget=budget, families=args.rule_families)
         if not scan.exhausted:
             status = _worst(status, INCONCLUSIVE)
             lines.append(f"INCOMPLETE monomial={format_monomial(rep)}")
@@ -251,10 +267,10 @@ def cmd_search(args) -> int:
         for w in scan.witnesses:
             kind = "transposition" if w.is_transposition else "permutation"
             lines.append(
-                f"WITNESS arity={part.arity} {kind}={w.permutation} "
+                f"WITNESS arity={arity(rep)} {kind}={w.permutation} "
                 f"monomial={format_monomial(rep)}"
             )
-    lines.append(f"examined {examined} candidates, pruned {skipped}")
+    lines.append(f"examined {examined} candidates, pruned {total - examined}")
     return _emit("\n".join(lines) + "\n", args.out) or status
 
 

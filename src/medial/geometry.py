@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -442,12 +443,19 @@ def is_subrectangle(p: BlockPartition, r: Rect) -> int | None:
     return None if inside is None else len(inside)
 
 
-def main_cuts(p: BlockPartition, r: Rect = UNIT_RECT) -> frozenset[str]:
-    """Which exact bisections of r are unions of cuts of p."""
-    _, cells, window = _on_grid(p, r)
+def _subrectangle(p: BlockPartition, r: Rect) -> tuple[int, tuple[int, int, int, int], list]:
+    """A common denominator for p and r, r's corners and the cells within r
+    over it; PartitionError unless those cells fill r."""
+    den, cells, window = _on_grid(p, r)
     inside = _inside(cells, window)
     if inside is None:
         raise PartitionError(f"{r} is not a subrectangle of the partition")
+    return den, window, inside
+
+
+def main_cuts(p: BlockPartition, r: Rect = UNIT_RECT) -> frozenset[str]:
+    """Which exact bisections of r are unions of cuts of p."""
+    _, window, inside = _subrectangle(p, r)
     return _main_cuts(inside, window)
 
 
@@ -461,21 +469,24 @@ def primary_cuts_and_slices(
     """
     if orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError("orientation must be 'horizontal' or 'vertical'")
-    if orientation not in main_cuts(p, r):
-        raise PartitionError(f"no {orientation} main cut in {r}")
-    den, cells, window = _on_grid(p, r)
+    den, window, inside = _subrectangle(p, r)
 
-    def collect(w: tuple[int, int, int, int]) -> list[int]:
-        if orientation not in _main_cuts(_inside(cells, w), w):
+    def collect(w: tuple[int, int, int, int], cells: list) -> list[int]:
+        if orientation not in _main_cuts(cells, w):
             return []
         x1, x2, y1, y2 = w
         if orientation == HORIZONTAL:
             mid = (y1 + y2) // 2
-            return collect((x1, x2, y1, mid)) + [mid] + collect((x1, x2, mid, y2))
-        mid = (x1 + x2) // 2
-        return collect((x1, mid, y1, y2)) + [mid] + collect((mid, x2, y1, y2))
+            lo, hi = (x1, x2, y1, mid), (x1, x2, mid, y2)
+        else:
+            mid = (x1 + x2) // 2
+            lo, hi = (x1, mid, y1, y2), (mid, x2, y1, y2)
+        # no cell straddles mid, so the cells within each half fill it
+        return collect(lo, _inside(cells, lo)) + [mid] + collect(hi, _inside(cells, hi))
 
-    marks = collect(window)
+    marks = collect(window, inside)
+    if not marks:
+        raise PartitionError(f"no {orientation} main cut in {r}")
     x1, x2, y1, y2 = window
     if orientation == HORIZONTAL:
         bounds = (y1, *marks, y2)
@@ -518,12 +529,37 @@ def boundary_order(p: BlockPartition) -> tuple[tuple[int, ...], ...]:
 # Tree preimages
 # ---------------------------------------------------------------------------
 
+def _splits(den: int, window: tuple[int, int, int, int], cells: tuple) -> Iterator[tuple]:
+    """The main-cut splits of a window of cells that fill it, in the order
+    the fiber lists them: the vertical bisection, an h node of the west and
+    east halves, then the horizontal one, a v node of the south and north
+    halves.  Each split is ``(op, (window, cells), (window, cells))``.
+    NotDyadicError when the window has neither."""
+    found = _main_cuts(cells, window)
+    if not found:
+        raise NotDyadicError(f"window {_rect(den, window)} admits no main cut")
+    x1, x2, y1, y2 = window
+    if VERTICAL in found:
+        mid = (x1 + x2) // 2
+        yield (
+            trees.H,
+            ((x1, mid, y1, y2), tuple(c for c in cells if c[1] <= mid)),
+            ((mid, x2, y1, y2), tuple(c for c in cells if c[0] >= mid)),
+        )
+    if HORIZONTAL in found:
+        mid = (y1 + y2) // 2
+        yield (
+            trees.V,
+            ((x1, x2, y1, mid), tuple(c for c in cells if c[3] <= mid)),
+            ((x1, x2, mid, y2), tuple(c for c in cells if c[2] >= mid)),
+        )
+
+
 def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     """All binary monomials realizing p, labels carried from the blocks.
 
-    Recursive main-cut decomposition; a window with both main cuts yields
-    the trees of its vertical split, then those of its horizontal one.  No
-    two coincide: the splits give different root operations, and each
+    Recursive main-cut decomposition over ``_splits``.  No two trees
+    coincide: the splits give different root operations, and each split
     gives the distinct pairs of its halves' trees.
     """
     if None in p.labels():
@@ -532,29 +568,35 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     def go(window: tuple[int, int, int, int], cells: tuple) -> tuple[Tree, ...]:
         if len(cells) == 1:
             return (cells[0][4],)
-        results: list[Tree] = []
-        x1, x2, y1, y2 = window
-        found = _main_cuts(cells, window)
-        if VERTICAL in found:
-            mid = (x1 + x2) // 2
-            west = go((x1, mid, y1, y2), tuple(c for c in cells if c[1] <= mid))
-            east = go((mid, x2, y1, y2), tuple(c for c in cells if c[0] >= mid))
-            results += [(trees.H, left, right) for left in west for right in east]
-        if HORIZONTAL in found:
-            mid = (y1 + y2) // 2
-            south = go((x1, x2, y1, mid), tuple(c for c in cells if c[3] <= mid))
-            north = go((x1, x2, mid, y2), tuple(c for c in cells if c[2] >= mid))
-            results += [(trees.V, bottom, top) for bottom in south for top in north]
-        if not results:
-            raise NotDyadicError(f"window {_rect(p.den, window)} admits no main cut")
-        return tuple(results)
+        return tuple(
+            (op, first, second)
+            for op, lo, hi in _splits(p.den, window, cells)
+            for first, second in product(go(*lo), go(*hi))
+        )
+
+    return go((0, p.den, 0, p.den), p.cells)
+
+
+def representative(p: BlockPartition) -> Tree:
+    """``fiber(p)[0]``, built alone: each window takes only its first split."""
+    if None in p.labels():
+        p = p.with_lex_labels()
+
+    def go(window: tuple[int, int, int, int], cells: tuple) -> Tree:
+        if len(cells) == 1:
+            return cells[0][4]
+        op, lo, hi = next(_splits(p.den, window, cells))
+        return (op, go(*lo), go(*hi))
 
     return go((0, p.den, 0, p.den), p.cells)
 
 
 def is_dyadic(p: BlockPartition) -> bool:
+    """Whether p has a recursive bisection structure.  Its first split's
+    halves suffice: a bisection that crosses no block of a dyadic window
+    leaves two dyadic halves."""
     try:
-        fiber(p)
+        representative(p)
     except NotDyadicError:
         return False
     return True

@@ -50,13 +50,23 @@ search results are delivered as ordinary replayable certificates.
 ``expand_path`` checks that each move of a traced chain lands on the next
 state, which compares the store's interned successor with the binary rewrite,
 and ``_certificate`` checks that the whole proof ends at its target.
+
+``scan_monomials`` answers a run of ``find_commutations`` calls with one
+search for each class that needs one.  Relabelling the arguments preserves
+equality in a DIS, so a monomial whose unlabelled shape lies in an earlier
+monomial's class has a class that is a relabelling of the earlier one: the
+same size, so the same ``exhausted``, ``expanded`` and ``class_size``, and a
+conjugate group of commutations.  A class exhausted without witnesses has
+the trivial group, and so does every relabelling of it; its scan is reused.
+A class with witnesses, or one the budget cut short, is searched again for
+each monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .assoc import AltTree, comb, right_comb, to_alternating
 from .rewrite import (
@@ -433,7 +443,7 @@ class CommutationWitness:
         return self.moved_points if self.is_transposition else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutationScan:
     witnesses: tuple[CommutationWitness, ...]
     exhausted: bool
@@ -462,6 +472,34 @@ def find_commutations(
     """
     if families is not None and frozenset(families) != ALL_FAMILIES:
         return _find_commutations_binary(t, frozenset(families), budget)
+    return _scan(t, budget)[0]
+
+
+def scan_monomials(
+    monomials: Iterable[Tree], budget: int = DEFAULT_BUDGET
+) -> Iterator[CommutationScan]:
+    """``find_commutations(t, budget)`` for each monomial in turn, each with
+    its arguments distinct, as parsed monomials have them.
+
+    A class that was exhausted without witnesses is remembered, for this
+    call only, by the unlabelled shapes of its states; a later monomial
+    with one of those shapes gets the same scan without a search.  The
+    monomials are consumed one at a time, as the scans are taken.
+    """
+    trivial: dict[AltTree, CommutationScan] = {}
+    for t in monomials:
+        scan = trivial.get(strip_labels(to_alternating(t)))
+        if scan is None:
+            scan, store, search = _scan(t, budget)
+            if scan.exhausted and not scan.witnesses:
+                for state in search.parents:
+                    trivial[strip_labels(store.tree(state))] = scan
+        yield scan
+
+
+def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
+    """The interchange search behind ``find_commutations``, with its store
+    and its frontier."""
     store = _Store()
     root = store.from_binary(t)
     search = Frontier(store.successors, root)
@@ -478,12 +516,13 @@ def find_commutations(
         target = relabel(t, sigma)
         cert = _certificate(t, _trace(store, search, state), target, [])
         witnesses.append(CommutationWitness(t, perm, cert))
-    return CommutationScan(
+    scan = CommutationScan(
         witnesses=tuple(witnesses),
         exhausted=exhausted,
         expanded=search.expanded,
         class_size=len(search.parents),
     )
+    return scan, store, search
 
 
 def _find_commutations_binary(

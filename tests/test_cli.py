@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from medial.cli import FAIL, PASS, USAGE, main
+from medial import geometry
+from medial.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
 
 
 def test_count_pass(capsys):
@@ -223,6 +224,15 @@ def test_search_reports(argv, report, capsys):
     assert capsys.readouterr().out == report + "\n"
 
 
+def test_search_slices_computes_main_cuts_once_per_candidate(monkeypatch, capsys):
+    calls = []
+    main_cuts = geometry.main_cuts
+    monkeypatch.setattr(geometry, "main_cuts", lambda *a: calls.append(a) or main_cuts(*a))
+    assert main(["search", "--arity", "7", "--slices", "2:3"]) == PASS
+    assert capsys.readouterr().out == "examined 380 candidates, pruned 7112\n"
+    assert len(calls) == 380
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -293,6 +303,38 @@ def test_count_graph_out_bytes_are_pinned(arity, lines, digest, tmp_path, capsys
     out = tmp_path / "g.txt"
     assert main(["count", "--arity", str(arity), "--graph-out", str(out)]) == PASS
     data = out.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, status, lines, digest",
+    [
+        (
+            ["--arity", "8"],
+            PASS,
+            1,
+            "3c6db00c74e027b2066e6b429bb2aeb0bd43e106b10c81db3df59b4a459ed3f5",
+        ),
+        (
+            ["--arity", "7", "--no-require-main-cuts"],
+            PASS,
+            1,
+            "f39d827da4fb7d0884598378c0ca4e187cfd47b028b8cfd01534e971231838bd",
+        ),
+        (
+            ["--arity", "7", "--budget", "8"],
+            INCONCLUSIVE,
+            253,
+            "800a4882b86c7ccad4166b1e10a6ee3ef3c4e607fe37e228cb941706c4c14a7f",
+        ),
+    ],
+    ids=["arity8", "arity7-all-partitions", "arity7-budget8"],
+)
+def test_search_out_bytes_are_pinned(argv, status, lines, digest, capsys):
+    # at --budget 8, 252 candidates are INCOMPLETE and 128 exhaust their class
+    assert main(["search", *argv]) == status
+    data = capsys.readouterr().out.encode()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
 

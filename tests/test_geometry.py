@@ -37,6 +37,7 @@ from medial.geometry import (
     partition_count,
     primary_cuts_and_slices,
     realize,
+    representative,
     transform_partition,
     unit_square,
     vjoin,
@@ -55,6 +56,14 @@ from medial.trees import (
 )
 
 GRID = realize((V, (H, 1, 2), (H, 3, 4)))
+PINWHEEL = BlockPartition(
+    (
+        Block(F(0), F(1, 2), F(0), F(1, 3), 1),
+        Block(F(1, 2), F(1), F(0), F(2, 3), 2),
+        Block(F(0), F(1, 2), F(1, 3), F(1), 3),
+        Block(F(1, 2), F(1), F(2, 3), F(1), 4),
+    )
+)
 
 
 def test_realize_examples():
@@ -243,17 +252,29 @@ def test_fiber_contains_preimage():
 
 
 def test_fiber_rejects_non_dyadic():
-    pinwheel = BlockPartition(
-        (
-            Block(F(0), F(1, 2), F(0), F(1, 3), 1),
-            Block(F(1, 2), F(1), F(0), F(2, 3), 2),
-            Block(F(0), F(1, 2), F(1, 3), F(1), 3),
-            Block(F(1, 2), F(1), F(2, 3), F(1), 4),
-        )
-    )
     with pytest.raises(NotDyadicError):
-        fiber(pinwheel)
-    assert not is_dyadic(pinwheel)
+        fiber(PINWHEEL)
+    assert not is_dyadic(PINWHEEL)
+
+
+def test_representative_is_the_first_tree_of_the_fiber():
+    labelled = [p.with_lex_labels() for n in range(1, 8) for p in enumerate_partitions(n)]
+    labelled += [p.with_lex_labels() for p in grid_partitions(8)]
+    for p in labelled:
+        assert representative(p) == fiber(p)[0]
+    assert representative(GRID.unlabeled()) == fiber(GRID.unlabeled())[0]
+
+
+def test_representative_rejects_non_dyadic():
+    with pytest.raises(NotDyadicError):
+        representative(PINWHEEL)
+    # a pinwheel below a window with both main cuts, on either of its splits
+    for i in range(1, 5):
+        nested = compose_partition(GRID, i, PINWHEEL)
+        for call in (representative, fiber):
+            with pytest.raises(NotDyadicError):
+                call(nested)
+        assert not is_dyadic(nested)
 
 
 def test_is_subrectangle():

@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from medial import quotient
 from medial.assoc import (
     binary_representatives,
     enumerate_alternating,
@@ -9,6 +11,7 @@ from medial.assoc import (
     to_alternating,
 )
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
+from medial.geometry import grid_partitions, representative
 from medial.quotient import (
     _moves,
     _Store,
@@ -19,8 +22,10 @@ from medial.quotient import (
     expand_path,
     find_commutations,
     interchange_neighbours_exist,
+    scan_monomials,
 )
 from medial.rewrite import (
+    DEFAULT_BUDGET,
     INTERCHANGE,
     INTERCHANGE_ONLY,
     RewriteError,
@@ -34,6 +39,7 @@ from medial.trees import (
     V,
     enumerate_shapes,
     is_leaf,
+    leaf_labels,
     opposite,
     parse_monomial,
     random_shape,
@@ -385,6 +391,57 @@ def test_find_commutations_with_restricted_rules():
     assert assoc_only.exhausted and assoc_only.witnesses == ()
     full = find_commutations(t, families=frozenset({"assoc_h", "assoc_v", "interchange"}))
     assert len(full.witnesses) == 1  # routes through the quotient search
+
+
+@functools.cache
+def _search_candidates(n):
+    """The fiber representative of each ``search --arity n`` candidate."""
+    return tuple(representative(p.with_lex_labels()) for p in grid_partitions(n))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_scan_monomials_is_find_commutations_on_the_search_candidates(n):
+    monomials = _search_candidates(n)
+    for budget in (DEFAULT_BUDGET, 3):
+        scans = list(scan_monomials(iter(monomials), budget))
+        assert scans == [find_commutations(t, budget) for t in monomials]
+
+
+@pytest.mark.parametrize("n, searches", [(6, 14), (7, 46), (8, 139)])
+def test_scan_monomials_searches_each_component_once(n, searches, monkeypatch):
+    # no class to arity 8 has a witness, so one search per component
+    searched = []
+    scan = quotient._scan
+    monkeypatch.setattr(quotient, "_scan", lambda t, budget: searched.append(t) or scan(t, budget))
+    list(scan_monomials(_search_candidates(n)))
+    assert len(searched) == searches
+
+
+def test_scan_monomials_is_find_commutations_on_a_census_draw():
+    # a seeded arity-9 draw with BM9, then each tree and one of its
+    # interchange neighbours relabelled, so that classes with witnesses and
+    # classes without both come back
+    rng = random.Random(9)
+    shapes = list(enumerate_alternating(9))
+
+    def shuffled(a):
+        labels = leaf_labels(a)
+        return relabel(a, dict(zip(sorted(labels), rng.sample(labels, len(labels)))))
+
+    draw = [to_alternating(BM9.lhs)] + [shuffled(a) for a in rng.sample(shapes, 48)]
+    copies = []
+    for a in draw:
+        copies.append(shuffled(a))
+        neighbours = [u for _, u in alt_successors(a)]
+        if neighbours:
+            copies.append(shuffled(rng.choice(neighbours)))
+    monomials = [right_comb(a) for a in draw + copies]
+    scans = list(scan_monomials(monomials))
+    assert scans == [find_commutations(t) for t in monomials]
+    assert sum(1 for scan in scans if scan.witnesses) >= 2
+    assert len(set(map(id, scans))) < len(scans)
+    scans = list(scan_monomials(monomials, 3))
+    assert scans == [find_commutations(t, 3) for t in monomials]
 
 
 def test_interchange_neighbour_existence():
