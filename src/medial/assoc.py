@@ -16,7 +16,8 @@ Every helper here reads a node of any width, as do those of ``trees``
 (the leaf test, ``arity``, ``leaf_labels``, ``relabel``, the symmetries and
 the rest), which serve alternating trees too.  The ``trees`` helpers bound
 to the binary grammar are ``parse_monomial``, ``format_monomial``,
-``enumerate_shapes`` and ``random_shape``.
+``enumerate_shapes`` and ``random_shape``.  ``binary_representatives`` is a
+call to ``trees.bracketings``, the package's one bracketing enumerator.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .trees import OPS, Tree, catalan, is_leaf, opposite
+from .trees import OPS, Tree, bracketings, catalan, check_arity, is_leaf, opposite
 
 AltTree = int | tuple
 ALTERNATING_ARITY_LIMIT = 12
@@ -65,24 +66,15 @@ def to_alternating(t: Tree) -> AltTree:
 def binary_representatives(a: AltTree) -> Iterator[Tree]:
     """All binary monomials whose alternating form is ``a``.
 
-    A node with k children contributes all bracketings of its child list,
-    combined independently across nodes.
+    A node with k children contributes all bracketings of its child list
+    (``trees.bracketings``), each child one of its own representatives.
     """
     if is_leaf(a):
         yield a
         return
     op = a[0]
-
-    def brackets(children: tuple[AltTree, ...]) -> Iterator[Tree]:
-        if len(children) == 1:
-            yield from binary_representatives(children[0])
-            return
-        for split in range(1, len(children)):
-            for left in brackets(children[:split]):
-                for right in brackets(children[split:]):
-                    yield (op, left, right)
-
-    yield from brackets(a[1:])
+    kids = [tuple(binary_representatives(child)) for child in a[1:]]
+    yield from bracketings(kids, lambda left, right: ((op, left, right),))
 
 
 def comb(op: str, parts: Sequence[Tree]) -> Tree:
@@ -128,10 +120,7 @@ def enumerate_alternating(n: int) -> Iterator[AltTree]:
     shared.  The two largest sizes, n - 1 and n, stream instead of being
     stored, and the tables are dropped when the generator ends.
     """
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    if n > ALTERNATING_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {ALTERNATING_ARITY_LIMIT}")
+    check_arity(n, ALTERNATING_ARITY_LIMIT)
     if n == 1:
         yield 1
         return

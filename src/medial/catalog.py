@@ -18,22 +18,32 @@ from .trees import Tree, leaf_labels, parse_monomial
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A commutativity relation stated over named arguments."""
+class Configuration:
+    """A monomial stated over named arguments; alone, a negative control
+    whose closure is scanned."""
 
     name: str
-    lhs_text: str
-    rhs_text: str
+    text: str
+
+    @property
+    def monomial(self) -> Tree:
+        return parse_monomial(self.text)
 
     @property
     def names(self) -> dict[str, int]:
         table: dict[str, int] = {}
-        parse_monomial(self.lhs_text, names=table)
+        parse_monomial(self.text, names=table)
         return table
 
-    @property
-    def lhs(self) -> Tree:
-        return parse_monomial(self.lhs_text)
+
+@dataclass(frozen=True)
+class Relation(Configuration):
+    """A commutativity relation: the monomial ``text`` (its left side)
+    equals ``rhs_text``, stated over the same names."""
+
+    rhs_text: str
+
+    lhs = Configuration.monomial
 
     @property
     def rhs(self) -> Tree:
@@ -102,24 +112,6 @@ CASE2 = Relation(
 )
 
 RELATIONS = {r.name: r for r in (KOCK16, BM9, CONFIG_A, CONFIG_B, CASE2)}
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A monomial whose closure is scanned as a negative control."""
-
-    name: str
-    text: str
-
-    @property
-    def monomial(self) -> Tree:
-        return parse_monomial(self.text)
-
-    @property
-    def names(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        parse_monomial(self.text, names=table)
-        return table
 
 
 CONFIG_C = Configuration(

@@ -71,7 +71,7 @@ def cmd_count(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     expected = {
-        "shapes": counts.shape_count(n),
+        "shapes": counts.SHAPE_COUNTS.get(n),
         "assoc_classes": counts.ALTERNATING_COUNTS.get(n),
         "isolated": counts.ISOLATED_COUNTS.get(n),
     }

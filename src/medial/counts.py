@@ -2,6 +2,7 @@
 
 Vendored expected values (no network lookups):
 
+    binary shapes by arity       1, 2, 8, 40, ..., 120393728  (2^(n-1) Catalan(n-1))
     alternating trees by arity   1, 2, 6, 22, 90, 394, 1806, 8558, 41586,
                                  206098, 1037718, 5293446     (OEIS A006318)
     isolated vertices            1, 2, 6, 20, 70, 254, 948    (OEIS A078482)
@@ -22,6 +23,7 @@ from .rewrite import INTERCHANGE_ONLY, closure
 from .trees import (
     Tree,
     canonical_key,
+    check_arity,
     dihedral_elements,
     enumerate_shapes,
     shape_count,
@@ -29,6 +31,8 @@ from .trees import (
     with_identity_labels,
 )
 
+SHAPE_COUNTS = {1: 1, 2: 2, 3: 8, 4: 40, 5: 224, 6: 1344, 7: 8448, 8: 54912, 9: 366080,
+                10: 2489344, 11: 17199104, 12: 120393728}
 ALTERNATING_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 90, 6: 394, 7: 1806, 8: 8558, 9: 41586,
                       10: 206098, 11: 1037718, 12: 5293446}
 ISOLATED_COUNTS = {1: 1, 2: 2, 3: 6, 4: 20, 5: 70, 6: 254, 7: 948}
@@ -48,8 +52,7 @@ class InterchangeGraph:
 
 
 def interchange_graph(n: int) -> InterchangeGraph:
-    if n > GRAPH_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
+    check_arity(n, GRAPH_ARITY_LIMIT, "graph")
     vertices = tuple(strip_labels(a) for a in enumerate_alternating(n))
     store = _Store()  # the unlabelled vertices share their subtrees' moves
     index = {store.from_binary(v): i for i, v in enumerate(vertices)}
@@ -64,8 +67,7 @@ def interchange_graph(n: int) -> InterchangeGraph:
 
 def isolated_count(n: int) -> int:
     """Vertices admitting no interchange application at all."""
-    if n > GRAPH_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the graph limit {GRAPH_ARITY_LIMIT}")
+    check_arity(n, GRAPH_ARITY_LIMIT, "graph")
     return sum(
         1
         for a in enumerate_alternating(n)
@@ -118,8 +120,7 @@ class FiberEquivalenceReport:
 def verify_fiber_equivalence(n: int) -> FiberEquivalenceReport:
     """Check that interchange-only closures coincide with the fibers of the
     geometric realization, shape by shape."""
-    if n > FIBER_CHECK_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the check limit {FIBER_CHECK_ARITY_LIMIT}")
+    check_arity(n, FIBER_CHECK_ARITY_LIMIT, "check")
     nontrivial: list[tuple[Tree, ...]] = []
     count = 0
     ok = True

@@ -59,18 +59,24 @@ def is_dyadic_fraction(value: Fraction) -> bool:
     return value.denominator & (value.denominator - 1) == 0
 
 
-def format_dyadic(value: Fraction) -> str:
-    """Coordinate text form a/2^b in lowest terms."""
+def dyadic_level(value: Fraction) -> int:
+    """The exponent b of a dyadic a/2^b in lowest terms."""
     if not is_dyadic_fraction(value):
         raise ValueError(f"{value} is not dyadic")
-    exponent = value.denominator.bit_length() - 1
-    return f"{value.numerator}/2^{exponent}"
+    return value.denominator.bit_length() - 1
+
+
+def format_dyadic(value: Fraction) -> str:
+    """Coordinate text form a/2^b in lowest terms."""
+    return f"{value.numerator}/2^{dyadic_level(value)}"
 
 
 def parse_dyadic(text: str) -> Fraction:
     text = text.strip()
     if "/2^" in text:
         num, exp = text.split("/2^")
+        if int(exp) < 0:
+            raise ValueError(f"coordinate {text!r} has a negative exponent")
         return Fraction(int(num), 2 ** int(exp))
     return Fraction(text)
 
@@ -163,16 +169,8 @@ class BlockPartition:
     def __len__(self) -> int:
         return len(self.cells)
 
-    @property
-    def arity(self) -> int:
-        return len(self.cells)
-
     def labels(self) -> tuple[int | None, ...]:
         return tuple(c[4] for c in self.cells)
-
-    def is_standard(self) -> bool:
-        labels = sorted(label for label in self.labels() if label is not None)
-        return labels == list(range(1, len(self.cells) + 1))
 
     def unlabeled(self) -> "BlockPartition":
         return _trusted(self.den, [(*c[:4], None) for c in self.cells])
@@ -358,42 +356,25 @@ def bisect(p: BlockPartition, ordinal: int, axis: str) -> BlockPartition:
 # Cuts, slices, block classification
 # ---------------------------------------------------------------------------
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _intersect_intervals(a, b) -> list[tuple[int, int]]:
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo < hi:
-                out.append((lo, hi))
-    return out
-
-
 def cuts(p: BlockPartition) -> frozenset[Cut]:
-    """Maximal open segments separating the blocks."""
+    """Maximal open segments separating the blocks: on each line through a
+    block side, the gaps between the blocks that straddle the line."""
     den, cells = p.den, p.cells
-    found: set[tuple[str, int, int, int]] = set()
-    # cell indices of a block's start and end across the cut, and of its
-    # extent along the cut
+    found = []
+    # cell indices of a block's start and end across the line, and of its
+    # extent along it
     for orientation, (start, end), (lo_i, hi_i) in (
         (VERTICAL, (0, 1), (2, 3)),
         (HORIZONTAL, (2, 3), (0, 1)),
     ):
-        coords = {c[start] for c in cells} | {c[end] for c in cells}
-        for x in coords - {0, den}:
-            below = _merge_intervals([(c[lo_i], c[hi_i]) for c in cells if c[end] == x])
-            above = _merge_intervals([(c[lo_i], c[hi_i]) for c in cells if c[start] == x])
-            for lo, hi in _intersect_intervals(below, above):
-                found.add((orientation, x, lo, hi))
+        for x in {c[start] for c in cells} - {0}:
+            at = 0  # the line is covered up to here
+            for lo, hi in sorted((c[lo_i], c[hi_i]) for c in cells if c[start] < x < c[end]):
+                if at < lo:
+                    found.append((orientation, x, at, lo))
+                at = max(at, hi)
+            if at < den:
+                found.append((orientation, x, at, den))
     return frozenset(
         Cut(orientation, Fraction(x, den), Fraction(lo, den), Fraction(hi, den))
         for orientation, x, lo, hi in found
@@ -653,13 +634,6 @@ def parse_partition(text: str) -> BlockPartition:
 # Enumeration of dyadic partitions
 # ---------------------------------------------------------------------------
 
-def _check_partition_arity(n: int) -> None:
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    if n > PARTITION_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {PARTITION_ARITY_LIMIT}")
-
-
 def _by_coordinates(parts) -> list[BlockPartition]:
     """The partitions in lexicographic order of their block coordinates."""
     den = max((part.den for part in parts), default=1)
@@ -675,7 +649,7 @@ def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
     """All distinct unlabeled dyadic partitions with n blocks (BFS over
     bisection sequences, deduplicated), in lexicographic order of their
     block coordinates."""
-    _check_partition_arity(n)
+    trees.check_arity(n, PARTITION_ARITY_LIMIT)
     level = {unit_square(label=None)}
     for _ in range(n - 1):
         level = {
@@ -695,7 +669,7 @@ def grid_partitions(n: int) -> list[BlockPartition]:
     quadruple of dyadic quadrants, so they are built from the quadrants and
     the rest of the arity-n partitions is never made.
     """
-    _check_partition_arity(n)
+    trees.check_arity(n, PARTITION_ARITY_LIMIT)
     quadrants = {k: list(enumerate_partitions(k)) for k in range(1, n - 2)}
     # halves[m]: the m-block partitions with a vertical main cut
     halves = {
@@ -716,7 +690,7 @@ def partition_count(n: int) -> int:
     both; every partition with more than one block has one or the other,
     so D(n) = 2 V(n) - B(n).
     """
-    _check_partition_arity(n)
+    trees.check_arity(n, PARTITION_ARITY_LIMIT)
     d, v = [0, 1], [0, 0]
     for m in range(2, n + 1):
         v.append(sum(d[k] * d[m - k] for k in range(1, m)))

@@ -14,20 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .geometry import format_dyadic, is_dyadic_fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
+from .geometry import ONE, ZERO, dyadic_level, format_dyadic, is_dyadic_fraction
+from .trees import bracketings
 
 # Association types as nested pairs: leaf = (), node = (left, right).
 Association = tuple
-
-
-def dyadic_level(x: Fraction) -> int:
-    if not is_dyadic_fraction(x):
-        raise ValueError(f"{x} is not dyadic")
-    return x.denominator.bit_length() - 1
 
 
 def tree_parent(x: Fraction) -> Fraction:
@@ -89,13 +80,7 @@ def association_types(letters: int) -> Iterator[Association]:
     """All bracketings of a product of the given number of letters."""
     if letters < 1:
         raise ValueError("need at least one letter")
-    if letters == 1:
-        yield ()
-        return
-    for split in range(1, letters):
-        for left in association_types(split):
-            for right in association_types(letters - split):
-                yield (left, right)
+    yield from bracketings([((),)] * letters, lambda left, right: ((left, right),))
 
 
 def format_association(tree: Association, letters: str = "abcdefghij") -> str:

@@ -51,6 +51,11 @@ search results are delivered as ordinary replayable certificates.
 state, which compares the store's interned successor with the binary rewrite,
 and ``_certificate`` checks that the whole proof ends at its target.
 
+``find_commutations`` has two engines, the interchange search ``_scan`` and,
+under fewer rule families, a binary closure.  Both hand their same-shape
+members in discovery order to one builder, ``_witnesses``: one witness per
+permutation, sorted, certified from its first member by a shortest path.
+
 ``scan_monomials`` answers a run of ``find_commutations`` calls with one
 search for each class that needs one.  Relabelling the arguments preserves
 equality in a DIS, so a monomial whose unlabelled shape lies in an earlier
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .assoc import AltTree, comb, right_comb, to_alternating
 from .rewrite import (
@@ -90,6 +95,7 @@ from .trees import (
     V,
     arity,
     is_leaf,
+    is_standard,
     leaf_labels,
     opposite,
     relabel,
@@ -468,8 +474,10 @@ def find_commutations(
     its arguments permuted; each distinct nonidentity permutation is
     reported once, with a certificate from a shortest interchange path.
     Passing a proper subset of rule families falls back to a plain binary
-    closure scan under those rules.
+    closure scan under those rules.  ValueError unless t's leaf labels are
+    1..n, before any search.
     """
+    _check_labels(t)
     if families is not None and frozenset(families) != ALL_FAMILIES:
         return _find_commutations_binary(t, frozenset(families), budget)
     return _scan(t, budget)[0]
@@ -478,8 +486,7 @@ def find_commutations(
 def scan_monomials(
     monomials: Iterable[Tree], budget: int = DEFAULT_BUDGET
 ) -> Iterator[CommutationScan]:
-    """``find_commutations(t, budget)`` for each monomial in turn, each with
-    its arguments distinct, as parsed monomials have them.
+    """``find_commutations(t, budget)`` for each monomial in turn.
 
     A class that was exhausted without witnesses is remembered, for this
     call only, by the unlabelled shapes of its states; a later monomial
@@ -488,6 +495,7 @@ def scan_monomials(
     """
     trivial: dict[AltTree, CommutationScan] = {}
     for t in monomials:
+        _check_labels(t)
         scan = trivial.get(strip_labels(to_alternating(t)))
         if scan is None:
             scan, store, search = _scan(t, budget)
@@ -504,20 +512,13 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     root = store.from_binary(t)
     search = Frontier(store.successors, root)
     exhausted = search.run(budget)
-    found: dict[tuple[int, ...], int] = {}
-    for state in search.parents:  # in discovery order
-        # an interned state other than the root is never the identity
-        if state != root and store.same_shape(state, root):
-            sigma = dict(zip(leaf_labels(t), leaf_labels(store.tree(state))))
-            found.setdefault(tuple(sigma[k] for k in sorted(sigma)), state)
-    witnesses = []
-    for perm, state in sorted(found.items()):
-        sigma = {i + 1: img for i, img in enumerate(perm)}
-        target = relabel(t, sigma)
-        cert = _certificate(t, _trace(store, search, state), target, [])
-        witnesses.append(CommutationWitness(t, perm, cert))
+    # an interned state other than the root is never the identity
+    found = ((store.tree(s), s) for s in search.parents if s != root and store.same_shape(s, root))
+    witnesses = _witnesses(
+        t, found, lambda state, target: _certificate(t, _trace(store, search, state), target, [])
+    )
     scan = CommutationScan(
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         exhausted=exhausted,
         expanded=search.expanded,
         class_size=len(search.parents),
@@ -525,26 +526,35 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     return scan, store, search
 
 
+def _check_labels(t: Tree) -> None:
+    """ValueError unless t's leaf labels are 1..n, the arguments a witness permutes."""
+    if not is_standard(t):
+        raise ValueError(f"leaf labels {leaf_labels(t)} are not a permutation of 1..{arity(t)}")
+
+
+def _witnesses(t: Tree, found: Iterable, certify: Callable) -> tuple[CommutationWitness, ...]:
+    """The witnesses among the same-shape members that ``found`` lists as
+    (member, handle) in discovery order: one per distinct permutation,
+    sorted, certified by ``certify(handle, target)`` from its first member,
+    ``target`` being t with its arguments permuted."""
+    first = {}
+    for member, handle in found:
+        sigma = dict(zip(leaf_labels(t), leaf_labels(member)))
+        first.setdefault(tuple(sigma[k] for k in sorted(sigma)), handle)
+    return tuple(
+        CommutationWitness(t, perm, certify(handle, relabel(t, dict(enumerate(perm, 1)))))
+        for perm, handle in sorted(first.items())
+    )
+
+
 def _find_commutations_binary(
     t: Tree, families: frozenset[str], budget: int
 ) -> CommutationScan:
     result = closure(t, families=families, budget=budget)
     shape = strip_labels(t)
-    labels = leaf_labels(t)
-    witnesses = []
-    seen: set[tuple[int, ...]] = set()
-    for member in sorted(result.members, key=repr):
-        if member == t or strip_labels(member) != shape:
-            continue
-        image = dict(zip(labels, leaf_labels(member)))
-        perm = tuple(image[k] for k in sorted(image))
-        if perm in seen:
-            continue
-        seen.add(perm)
-        cert = certificate_from_path(t, result.path_to(member))
-        witnesses.append(CommutationWitness(t, perm, cert))
+    found = ((m, m) for m in result.search.parents if m != t and strip_labels(m) == shape)
     return CommutationScan(
-        witnesses=tuple(witnesses),
+        witnesses=_witnesses(t, found, lambda m, _: certificate_from_path(t, result.path_to(m))),
         exhausted=result.exhausted,
         expanded=result.expanded,
         class_size=len(result.members),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import BlockPartition
+from .geometry import BlockPartition, dyadic_level
 
 SVG_SIZE = 480
 SVG_MARGIN = 10
@@ -18,7 +18,7 @@ def _decimal(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    k = den.bit_length() - 1
+    k = dyadic_level(value)
     digits = num * 5**k  # num/2^k == num*5^k / 10^k
     text = str(digits).rjust(k + 1, "0")
     whole, frac = text[:-k], text[-k:]

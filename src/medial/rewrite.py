@@ -32,6 +32,7 @@ from .trees import (
     is_leaf,
     leaf_labels,
     parse_monomial,
+    positions,
     replace_at,
     subtree_at,
 )
@@ -96,17 +97,13 @@ def _apply_local(node: Tree, rule: str, direction: str) -> Tree | None:
             return None
         return (want, (want, left, right[1]), right[2])
     if rule == INTERCHANGE:
-        if direction == FORWARD:
-            if op != V or is_leaf(left) or is_leaf(right):
-                return None
-            if left[0] != H or right[0] != H:
-                return None
-            return (H, (V, left[1], right[1]), (V, left[2], right[2]))
-        if op != H or is_leaf(left) or is_leaf(right):
+        # forward turns a v of two h nodes into an h of two v nodes
+        outer, inner = (V, H) if direction == FORWARD else (H, V)
+        if op != outer or is_leaf(left) or is_leaf(right):
             return None
-        if left[0] != V or right[0] != V:
+        if left[0] != inner or right[0] != inner:
             return None
-        return (V, (H, left[1], right[1]), (H, left[2], right[2]))
+        return (inner, (outer, left[1], right[1]), (outer, left[2], right[2]))
     raise RewriteError(f"unknown rule {rule!r}")
 
 
@@ -127,21 +124,15 @@ def apply_redex(t: Tree, step: RewriteStep) -> Tree:
 def successors(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> Iterator[tuple[RewriteStep, Tree]]:
     """Every applicable step with its result, preorder then rule order."""
     fams = frozenset(families)
-
-    def walk(node: Tree, pos: Position) -> Iterator[tuple[RewriteStep, Tree]]:
+    rules = [rule for rule in _RULE_ORDER if rule in fams]
+    for pos, node in positions(t):
         if is_leaf(node):
-            return
-        for rule in _RULE_ORDER:
-            if rule not in fams:
-                continue
+            continue
+        for rule in rules:
             for direction in _DIRECTIONS:
                 local = _apply_local(node, rule, direction)
                 if local is not None:
                     yield RewriteStep(rule, direction, pos), replace_at(t, pos, local)
-        yield from walk(node[1], pos + (0,))
-        yield from walk(node[2], pos + (1,))
-
-    yield from walk(t, ())
 
 
 def find_redexes(t: Tree, families: Iterable[str] = ALL_FAMILIES) -> list[RewriteStep]:

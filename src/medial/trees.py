@@ -20,6 +20,10 @@ to the binary grammar: ``parse_monomial`` and ``format_monomial`` (the text
 form is binary; ``format_monomial`` raises ``ValueError`` on a wider node),
 ``enumerate_shapes`` and ``random_shape``.
 
+``bracketings`` is the package's one bracketing enumerator: the shapes,
+``assoc.binary_representatives`` and ``intervals.association_types`` are
+each one call to it.  ``check_arity`` is the one arity guard.
+
 ``parse_monomial`` is also where text input meets the recursive walkers of
 the package: it refuses nesting deeper than ``NESTING_LIMIT``.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 H = "h"
 V = "v"
@@ -147,16 +151,12 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
     tokens = _tokenize(text)
     pos = 0
     assigned: dict[str, int] = {} if names is None else names
+    used = set(assigned.values())
+    free = 1  # no index below it is free
     seen_here: set[str] = set()
 
-    def next_index() -> int:
-        used = set(assigned.values())
-        k = 1
-        while k in used:
-            k += 1
-        return k
-
     def leaf_for(word: str, offset: int) -> int:
+        nonlocal free
         if word in seen_here:
             raise MonomialSyntaxError(f"duplicate leaf identifier {word!r}", offset)
         seen_here.add(word)
@@ -167,10 +167,13 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
             if idx < 1:
                 raise MonomialSyntaxError("leaf indices are 1-based", offset)
         else:
-            idx = next_index()
-        if idx in assigned.values():
+            while free in used:
+                free += 1
+            idx = free
+        if idx in used:
             raise MonomialSyntaxError(f"leaf index {idx} already used", offset)
         assigned[word] = idx
+        used.add(idx)
         return idx
 
     def parse_expr(depth: int) -> Tree:
@@ -365,24 +368,32 @@ def shape_count(n: int) -> int:
     return 2 ** (n - 1) * catalan(n - 1)
 
 
-def enumerate_shapes(n: int) -> Iterator[Tree]:
-    """All operation-labeled shapes with identity leaf labels, in a fixed order."""
+def check_arity(n: int, limit: int, kind: str = "enumeration") -> None:
+    """ValueError unless 1 <= n <= limit; ``kind`` names the limit."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    if n > SHAPE_ARITY_LIMIT:
-        raise ValueError(f"arity {n} exceeds the enumeration limit {SHAPE_ARITY_LIMIT}")
+    if n > limit:
+        raise ValueError(f"arity {n} exceeds the {kind} limit {limit}")
 
-    def go(size: int, offset: int) -> Iterator[Tree]:
-        if size == 1:
-            yield offset + 1
-            return
-        for split in range(1, size):
-            for left in go(split, offset):
-                for right in go(size - split, offset + split):
-                    yield (H, left, right)
-                    yield (V, left, right)
 
-    return go(n, 0)
+def bracketings(parts: Sequence[Sequence], join: Callable[..., Iterable]) -> Iterator:
+    """Every binary bracketing of one or more ``parts``, each part one of its
+    choices: by the split of the parts, then the left bracketing, then the
+    right one, then each node ``join(left, right)`` lists."""
+    if len(parts) == 1:
+        yield from parts[0]
+        return
+    for split in range(1, len(parts)):
+        for left in bracketings(parts[:split], join):
+            for right in bracketings(parts[split:], join):
+                yield from join(left, right)
+
+
+def enumerate_shapes(n: int) -> Iterator[Tree]:
+    """All operation-labeled shapes with identity leaf labels, in a fixed order."""
+    check_arity(n, SHAPE_ARITY_LIMIT)
+    leaves = [(k,) for k in range(1, n + 1)]
+    return bracketings(leaves, lambda left, right: ((H, left, right), (V, left, right)))
 
 
 def random_shape(n: int, rng: random.Random) -> Tree:

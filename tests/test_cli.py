@@ -110,6 +110,15 @@ def test_render_rejects_non_dyadic_partition(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_render_refuses_a_negative_exponent(tmp_path, capsys):
+    src = tmp_path / "neg.txt"
+    src.write_text("0 1/2^-1 0 1 1\n")
+    assert main(["render", "--input", str(src)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coordinate '1/2^-1' has a negative exponent\n"
+
+
 def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
     # an invalid partition file reports its own error, not a monomial one
     dup = tmp_path / "dup.txt"

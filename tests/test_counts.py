@@ -1,9 +1,12 @@
 import pytest
 
+from medial import counts
 from medial.assoc import binary_representatives, to_alternating
+from medial.cli import FAIL, main
 from medial.counts import (
     ALTERNATING_COUNTS,
     ISOLATED_COUNTS,
+    SHAPE_COUNTS,
     count_summary,
     dihedral_orbits,
     interchange_graph,
@@ -12,7 +15,7 @@ from medial.counts import (
     verify_fiber_equivalence,
 )
 from medial.rewrite import INTERCHANGE_ONLY, successors
-from medial.trees import H, V, shape_count, strip_labels
+from medial.trees import H, V, enumerate_shapes, shape_count, strip_labels
 
 
 def test_graph_small_arities():
@@ -114,6 +117,19 @@ def test_fiber_equivalence_small():
 def test_fiber_equivalence_limit():
     with pytest.raises(ValueError):
         verify_fiber_equivalence(7)
+
+
+def test_shape_count_table():
+    assert SHAPE_COUNTS == {n: shape_count(n) for n in range(1, 13)}
+    for n in range(1, 8):
+        assert sum(1 for _ in enumerate_shapes(n)) == SHAPE_COUNTS[n]
+
+
+def test_count_shapes_row_is_checked_against_the_table(monkeypatch, capsys):
+    # the row is computed by shape_count and checked against the vendored table
+    monkeypatch.setattr(counts, "shape_count", lambda n: 41)
+    assert main(["count", "--arity", "4"]) == FAIL
+    assert "shapes               41  MISMATCH (expected 40)" in capsys.readouterr().out
 
 
 def test_count_summary():

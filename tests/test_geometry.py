@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -183,6 +184,20 @@ def test_cuts_maximality_on_pinwheel_style_partition():
             Cut(HORIZONTAL, F(1, 2), F(1, 2), F(1)),
         }
     )
+
+
+def test_cuts_are_pinned_on_every_partition_to_arity_7():
+    # the sorted cuts of the 8,986 dyadic partitions of arity <= 7; the hash
+    # was taken from the intersection of the merged sides on each line
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for p in enumerate_partitions(n):
+            found = sorted((c.orientation, c.coordinate, c.lo, c.hi) for c in cuts(p))
+            h.update(repr(found).encode() + b"\n")
+            count += 1
+    assert count == 8986
+    assert h.hexdigest() == "37b18a5b5388988331d8d5d9636e596f506fce2fc7064204e4b412ebca9023f6"
 
 
 def test_main_cuts():

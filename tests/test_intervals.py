@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -83,6 +84,16 @@ def test_bijection_over_all_association_types():
             assert points not in seen
             seen.add(points)
     assert counts == {2: 1, 3: 2, 4: 5, 5: 14, 6: 42}
+
+
+def test_association_types_order_is_pinned():
+    # the order of association_types(1..9); the hash was taken from the
+    # hand-written recursion
+    h = hashlib.sha256()
+    for n in range(1, 10):
+        for a in association_types(n):
+            h.update(repr(a).encode() + b"\n")
+    assert h.hexdigest() == "98e2b1b3004ac09341c436dd5c74c356c8be61f9ded293af27ee9144522a4f07"
 
 
 def test_format_parse_association():

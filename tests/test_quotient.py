@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from medial.quotient import (
     scan_monomials,
 )
 from medial.rewrite import (
+    ALL_FAMILIES,
     DEFAULT_BUDGET,
     INTERCHANGE,
     INTERCHANGE_ONLY,
@@ -312,6 +314,46 @@ def test_find_commutations_config_a():
     binary = closure(CONFIG_A.lhs, budget=10**6)
     assert binary.exhausted
     assert w.certificate.final in binary.members
+
+
+@pytest.mark.parametrize(
+    "t", [BM9.lhs, CONFIG_A.lhs, CONFIG_C.monomial], ids=["bm9", "configA", "configC"]
+)
+def test_binary_engine_witnesses_match_the_quotient_scan(t):
+    # the plain binary closure under all three families is an independent
+    # second path to the same group of commutations
+    binary = quotient._find_commutations_binary(t, ALL_FAMILIES, DEFAULT_BUDGET)
+    scan = find_commutations(t)
+    assert binary.exhausted and scan.exhausted
+    assert [w.permutation for w in binary] == [w.permutation for w in scan]
+    assert len(binary.witnesses) == 1
+    for w in binary:
+        sigma = {i + 1: img for i, img in enumerate(w.permutation)}
+        assert w.monomial == t
+        assert w.certificate.initial == t
+        assert w.certificate.final == relabel(t, sigma)
+        assert replay_certificate(w.certificate)
+
+
+@pytest.mark.parametrize(
+    "mapping", [{k: k + 10 for k in range(1, 10)}, {2: 1}], ids=["shifted", "repeated"]
+)
+def test_commutation_scans_refuse_labels_other_than_1_to_n(mapping, monkeypatch):
+    t = relabel(BM9.lhs, mapping)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(quotient, "Frontier", no_search)
+    monkeypatch.setattr(quotient, "closure", no_search)
+    for scan in (
+        lambda: find_commutations(t),
+        lambda: find_commutations(t, families=INTERCHANGE_ONLY),
+        lambda: list(scan_monomials([t])),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"leaf labels {leaf_labels(t)}")) as exc:
+            scan()
+        assert not isinstance(exc.value, RewriteError)
 
 
 def test_find_commutations_budget_flag():

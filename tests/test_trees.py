@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -67,6 +68,29 @@ def test_shared_name_table_across_sides():
     rhs = parse_monomial("((b h a) v c)", names=names)
     assert lhs == (V, (H, 1, 2), 3)
     assert rhs == (V, (H, 2, 1), 3)
+
+
+def test_parse_assigns_first_occurrence_indices_to_many_words():
+    # 2^14 leaves: x2, then word identifiers in a shuffled order, each taking
+    # the least free index at its first occurrence; a second side shares
+    # the table
+    rng = random.Random(14)
+    n = 2**14
+    leaves = ["x2"] + [f"w{k}" for k in rng.sample(range(n), n - 1)]
+
+    def balanced(leaves, op):
+        if len(leaves) == 1:
+            return leaves[0]
+        mid, other = len(leaves) // 2, "v" if op == "h" else "h"
+        return f"({balanced(leaves[:mid], other)} {op} {balanced(leaves[mid:], other)})"
+
+    names = {}
+    lhs = parse_monomial(balanced(leaves, "h"), names=names)
+    assert leaf_labels(lhs) == (2, 1, *range(3, n + 1))
+    assert names == {"x2": 2, leaves[1]: 1, **{w: k for k, w in enumerate(leaves[2:], 3)}}
+    rhs = parse_monomial(balanced(leaves[::-1], "h"), names=names)
+    assert leaf_labels(rhs) == leaf_labels(lhs)[::-1]
+    assert len(names) == n
 
 
 def test_print_parse_round_trip_exhaustive():
@@ -166,6 +190,16 @@ def test_shape_counts():
 def test_enumerate_shapes_limit():
     with pytest.raises(ValueError):
         list(enumerate_shapes(11))
+
+
+def test_enumerate_shapes_order_is_pinned():
+    # the order of enumerate_shapes(1..8); the hash was taken from the
+    # hand-written recursion
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for t in enumerate_shapes(n):
+            h.update(repr(t).encode() + b"\n")
+    assert h.hexdigest() == "417b5320b4009a06c35f9ab606c584c975088852d7a47725809d04fb3178fd9b"
 
 
 def test_enumeration_is_deterministic_and_standard():
