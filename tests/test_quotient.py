@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import random
 import re
+from itertools import islice, tee
 
 import pytest
 
@@ -161,6 +163,43 @@ def test_search_counts_are_pinned():
     for t in (CONFIG_A.lhs, CONFIG_C.monomial):
         scan = find_commutations(t)
         assert (scan.class_size, scan.expanded) == (692, 692)
+
+
+def _random_bracketing(a, rng):
+    """A seeded binary representative of the alternating tree ``a``."""
+    if is_leaf(a):
+        return a
+    parts = [_random_bracketing(c, rng) for c in a[1:]]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i : i + 2] = [(a[0], parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def _arity9_draws(rng):
+    trees = list(enumerate_alternating(9))
+    while True:
+        images = list(range(1, 10))
+        rng.shuffle(images)
+        a = relabel(rng.choice(trees), dict(zip(range(1, 10), images)))
+        yield _random_bracketing(a, rng)
+
+
+def test_witness_certificates_are_pinned():
+    # every witness certificate byte for byte: a kernel or certificate
+    # change that keeps the counts but moves a step shows here
+    draws, scanned = tee(_arity9_draws(random.Random(27)))
+    with_witnesses = (t for t, scan in zip(draws, scan_monomials(scanned)) if scan.witnesses)
+    monomials = [BM9.lhs, CONFIG_A.lhs, CONFIG_C.monomial, CASE2.lhs]
+    monomials += islice(with_witnesses, 64)
+    h = hashlib.sha256()
+    count = 0
+    for t in monomials:
+        for w in find_commutations(t):
+            h.update(repr(w.permutation).encode() + w.certificate.dump().encode())
+            count += 1
+    assert count == 72
+    assert h.hexdigest() == "d9ab6c857a8fdcb4a8939ce9590dd8eacfc5a488400a3bcc20c4d8d1177a212d"
 
 
 def test_searches_share_no_state_between_calls():
