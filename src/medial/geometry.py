@@ -45,6 +45,9 @@ VERTICAL = "vertical"
 X_AXIS = "x"
 Y_AXIS = "y"
 PARTITION_ARITY_LIMIT = 8
+# A block a/2^b wide sits at least b levels deep in its monomial, so a
+# coordinate past the parser's nesting limit names no monomial medial reads.
+DYADIC_EXPONENT_LIMIT = trees.NESTING_LIMIT
 
 
 class PartitionError(ValueError):
@@ -72,13 +75,21 @@ def format_dyadic(value: Fraction) -> str:
 
 
 def parse_dyadic(text: str) -> Fraction:
+    """A coordinate written ``a/2^b``, or in any form ``Fraction`` reads;
+    ValueError naming the coordinate when ``b`` is negative, above
+    ``DYADIC_EXPONENT_LIMIT`` or followed by a second ``/2^``."""
     text = text.strip()
-    if "/2^" in text:
-        num, exp = text.split("/2^")
-        if int(exp) < 0:
-            raise ValueError(f"coordinate {text!r} has a negative exponent")
-        return Fraction(int(num), 2 ** int(exp))
-    return Fraction(text)
+    if "/2^" not in text:
+        return Fraction(text)
+    num, *exps = text.split("/2^")
+    if len(exps) > 1:
+        raise ValueError(f"coordinate {text!r} has more than one '/2^'")
+    exp = int(exps[0])
+    if exp < 0:
+        raise ValueError(f"coordinate {text!r} has a negative exponent")
+    if exp > DYADIC_EXPONENT_LIMIT:
+        raise ValueError(f"coordinate {text!r} has an exponent above {DYADIC_EXPONENT_LIMIT}")
+    return Fraction(int(num), 2**exp)
 
 
 @dataclass(frozen=True, order=True)

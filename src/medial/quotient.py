@@ -24,6 +24,18 @@ only ints.
   because states far outnumber the subtrees they share.  A child result
   that collapsed onto the node's own operation is spliced into the node,
   as flattening the binary interchange does.
+* A local move regroups two adjacent children, each split in two.  Each
+  split comes twice from ``_splits``: its halves prefixed with the new
+  node's operation, for the left child of the pair, and bare, for the
+  right one, so a new key is one concatenation ``p + r``.  A child whose
+  list is empty is skipped before any slicing, and a lifted key is
+  ``head + (c,) + tail``.  The opposite operation is read from
+  ``trees.OPPOSITE``.
+* The kernel keeps no per-node state beyond ``memo``.  Two caches were
+  measured and left out: memoizing ``_splits`` per node raised the
+  ``prove`` benchmark's peak RSS from 46.3 to 61.1 MB (+32 %) for no
+  visible ``census9`` gain, and a dict of the 256 most recent splits,
+  cleared when full, left ``census9`` and the kock16 check where they were.
 * ``_Store`` is the only code that enumerates moves.  ``successors(n)``
   lists first the local moves of each adjacent pair of non-leaf children,
   pair by pair, split by split, then the moves inside each child, from the
@@ -50,11 +62,15 @@ search results are delivered as ordinary replayable certificates.
 ``expand_path`` checks that each move of a traced chain lands on the next
 state, which compares the store's interned successor with the binary rewrite,
 and ``_certificate`` checks that the whole proof ends at its target.
+``expand_path`` carries each state's right comb to the next move: rotating
+the rewritten tree to its comb, which the steps need anyway, yields it.
 
 ``find_commutations`` has two engines, the interchange search ``_scan`` and,
 under fewer rule families, a binary closure.  Both hand their same-shape
 members in discovery order to one builder, ``_witnesses``: one witness per
 permutation, sorted, certified from its first member by a shortest path.
+``_scan`` checks the leaf labels on the walk that interns the monomial, so
+the monomial is walked once before its search.
 
 ``scan_monomials`` answers a run of ``find_commutations`` calls with one
 search for each class that needs one.  Relabelling the arguments preserves
@@ -90,12 +106,12 @@ from .rewrite import (
     comb_steps,
 )
 from .trees import (
+    OPPOSITE,
     Position,
     Tree,
     V,
     arity,
     is_leaf,
-    is_standard,
     leaf_labels,
     opposite,
     relabel,
@@ -129,9 +145,13 @@ class _Store(dict):
         self.memo.append(None)
         return nid
 
-    def from_binary(self, t: Tree) -> int:
-        """Flatten and intern a monomial, binary or alternating, in one pass."""
+    def from_binary(self, t: Tree, leaves: list[int] | None = None) -> int:
+        """Flatten and intern a monomial, binary or alternating, in one pass;
+        its leaf labels are appended to ``leaves`` when a list is given."""
+        if leaves is None:
+            leaves = []
         if is_leaf(t):
+            leaves.append(t)
             return t
         op = t[0]
         parts: list[int] = []
@@ -140,10 +160,11 @@ class _Store(dict):
             sub = stack.pop()
             if is_leaf(sub):
                 parts.append(sub)
+                leaves.append(sub)
             elif sub[0] == op:
                 stack += sub[:0:-1]
             else:
-                parts.append(self.from_binary(sub))
+                parts.append(self.from_binary(sub, leaves))
         return self[(op, *parts)]
 
     def tree(self, n: int) -> AltTree:
@@ -174,25 +195,38 @@ class _Store(dict):
                 return False
         return True
 
-    def _splits(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def _splits(self, n: int) -> tuple[list[tuple[tuple, tuple]], list[tuple[tuple, tuple]]]:
         """For k = 1, 2, ...: the first k children of node ``n`` and the
         rest, each as the children it brings to a node of the opposite
         operation.  A lone leaf brings itself, a lone node (which carries
         that operation) its own children, and several children one node
-        grouping them under ``n``'s operation."""
+        grouping them under ``n``'s operation.
+
+        Returned twice: once with each half prefixed by the opposite
+        operation, for ``n`` on the left of a pair, and once bare, for
+        ``n`` on the right, so that a new key is one concatenation."""
         keys, index = self.keys, self
         key = keys[~n]
         op, first, last = key[0], key[1], key[-1]
-        first_alone = keys[~first][1:] if first < 0 else (first,)
-        last_alone = keys[~last][1:] if last < 0 else (last,)
+        opp = OPPOSITE[op]
         end = len(key) - 1
-        return [
-            (
-                first_alone if k == 2 else (index[key[:k]],),
-                last_alone if k == end else (index[(op, *key[k:])],),
-            )
-            for k in range(2, len(key))
-        ]
+        first_alone = keys[~first] if first < 0 else (opp, first)
+        last_alone = keys[~last] if last < 0 else (opp, last)
+        lefts, rights = [], []
+        for k in range(2, len(key)):
+            if k == 2:
+                p, r = first_alone, first_alone[1:]
+            else:
+                g = index[key[:k]]
+                p, r = (opp, g), (g,)
+            if k == end:
+                q, s = last_alone, last_alone[1:]
+            else:
+                g = index[(op,) + key[k:]]
+                q, s = (opp, g), (g,)
+            lefts.append((p, q))
+            rights.append((r, s))
+        return lefts, rights
 
     def successors(self, n: int) -> list[int]:
         """Ids of every single-interchange neighbour of node ``n``; entry
@@ -204,38 +238,41 @@ class _Store(dict):
             return []
         index, keys, memo = self, self.keys, self.memo
         key = keys[~n]
-        op, kids = key[0], key[1:]
-        opp = opposite(op)
-        wide = len(kids) > 2
+        op = key[0]
+        opp = OPPOSITE[op]
+        wide = len(key) > 3
         out: list[int] = []
-        # moves on children i-1 and i; a child's splits serve both its pairs
+        # moves on the children at key positions i and i+1; a child's
+        # splits serve both its pairs
         b_splits = None
-        for i in range(1, len(kids)):
-            if kids[i - 1] < 0 and kids[i] < 0:
-                a_splits = b_splits or self._splits(kids[i - 1])
-                b_splits = self._splits(kids[i])
+        for i in range(1, len(key) - 1):
+            if key[i] < 0 and key[i + 1] < 0:
+                lefts = b_splits[0] if b_splits else self._splits(key[i])[0]
+                b_splits = self._splits(key[i + 1])
                 head, tail = key[:i], key[i + 2 :]
-                for p, q in a_splits:
-                    for r, s in b_splits:
-                        new = index[(opp, index[(op, *p, *r)], index[(op, *q, *s)])]
-                        out.append(index[(*head, new, *tail)] if wide else new)
+                for p, q in lefts:
+                    for r, s in b_splits[1]:
+                        new = index[(opp, index[p + r], index[q + s])]
+                        out.append(index[head + (new,) + tail] if wide else new)
             else:
                 b_splits = None
-        # moves inside child j, placed in this node
-        for j in reversed(range(len(kids))):
-            child = kids[j]
+        # moves inside the child at key position j, placed in this node
+        for j in range(len(key) - 1, 0, -1):
+            child = key[j]
             if child >= 0:
                 continue
             sub = memo[~child]
             if sub is None:
                 sub = memo[~child] = self.successors(child)
-            head, tail = key[: j + 1], key[j + 2 :]
+            if not sub:
+                continue
+            head, tail = key[:j], key[j + 1 :]
             for c in sub:
                 ckey = keys[~c]
                 if ckey[0] == op:  # the child collapsed onto our operation
                     out.append(index[head + ckey[1:] + tail])
                 else:
-                    out.append(index[(*head, c, *tail)])
+                    out.append(index[head + (c,) + tail])
         return out
 
     def move(self, n: int, k: int) -> Move:
@@ -289,9 +326,10 @@ def _comb_position(j: int, m: int) -> Position:
     return (1,) * j + (0,) * (j < m - 1)
 
 
-def _rep_with_redex(tree: AltTree, move: Move) -> tuple[Tree, Position]:
+def _rep_with_redex(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, Position]:
     """A binary representative in which the move is one interchange redex:
-    ``right_comb(tree)`` with the moved node rebracketed around the redex."""
+    ``tree_comb``, which is ``right_comb(tree)``, with the moved node
+    rebracketed around the redex."""
     path, i, sa, sb = move
     pos, node = (), tree
     for j in path:
@@ -301,36 +339,46 @@ def _rep_with_redex(tree: AltTree, move: Move) -> tuple[Tree, Position]:
     opp = opposite(op)
     parts = [right_comb(c) for c in kids]
     parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
-    rep = replace_at(right_comb(tree), pos, comb(op, parts))
+    rep = replace_at(tree_comb, pos, comb(op, parts))
     return rep, pos + _comb_position(i, len(parts))
 
 
-def _interchange(tree: AltTree, move: Move) -> tuple[Tree, RewriteStep]:
+def _interchange(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, RewriteStep]:
     """The binary interchange the move stands for: a representative of
     ``tree`` and the one interchange step on it."""
-    rep, pos = _rep_with_redex(tree, move)
+    rep, pos = _rep_with_redex(tree, move, tree_comb)
     direction = FORWARD if subtree_at(rep, pos)[0] == V else BACKWARD
     return rep, RewriteStep(INTERCHANGE, direction, pos)
 
 
 def apply_move(tree: AltTree, move: Move) -> AltTree:
     """The move applied to nested tuples: its binary interchange, flattened."""
-    rep, step = _interchange(tree, move)
+    rep, step = _interchange(tree, move, right_comb(tree))
     return to_alternating(apply_redex(rep, step))
 
 
 def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTree]:
     """Binary steps from right_comb(u) to right_comb(v) realizing the move."""
-    rep, step = _interchange(u, move)
+    steps, v, _ = _expand_move(u, right_comb(u), move)
+    return steps, v
+
+
+def _expand_move(
+    u: AltTree, u_comb: Tree, move: Move
+) -> tuple[tuple[RewriteStep, ...], AltTree, Tree]:
+    """``expand_move`` given ``u_comb``, the right comb of ``u``; also
+    returns the right comb of ``v``, which the rotation of the rewritten
+    tree reaches anyway, for the next move of a chain."""
+    rep, step = _interchange(u, move, u_comb)
     after = apply_redex(rep, step)
-    # right_comb(u) is a comb already: rotating rep and after to their combs
+    # u_comb is a comb already: rotating rep and after to their combs
     # gives the whole associativity path on each side.
     comb_rep, rep_to_comb = comb_steps(rep)
-    if comb_rep != right_comb(u):
+    if comb_rep != u_comb:
         raise RewriteError("trees are not equal modulo associativity")
-    _, after_to_comb = comb_steps(after)
+    v_comb, after_to_comb = comb_steps(after)
     steps = tuple(s.inverted() for s in reversed(rep_to_comb)) + (step,) + after_to_comb
-    return steps, to_alternating(after)
+    return steps, to_alternating(after), v_comb
 
 
 def expand_path(t_start: Tree, moves: Chain) -> tuple[RewriteStep, ...]:
@@ -340,13 +388,13 @@ def expand_path(t_start: Tree, moves: Chain) -> tuple[RewriteStep, ...]:
     state must be where the chain stands: the alternating form of
     ``t_start``, then the flattened result of the move before it.
     """
-    _, start_rot = comb_steps(t_start)
+    at_comb, start_rot = comb_steps(t_start)
     steps = list(start_rot)
     at = to_alternating(t_start)
     for state, move in moves:
         if state != at:
             raise RewriteError(f"move {move} does not start where the chain stands")
-        seg, at = expand_move(state, move)
+        seg, at, at_comb = _expand_move(state, at_comb, move)
         steps.extend(seg)
     return tuple(steps)
 
@@ -477,8 +525,8 @@ def find_commutations(
     closure scan under those rules.  ValueError unless t's leaf labels are
     1..n, before any search.
     """
-    _check_labels(t)
     if families is not None and frozenset(families) != ALL_FAMILIES:
+        _check_labels(t, leaf_labels(t))
         return _find_commutations_binary(t, frozenset(families), budget)
     return _scan(t, budget)[0]
 
@@ -495,7 +543,7 @@ def scan_monomials(
     """
     trivial: dict[AltTree, CommutationScan] = {}
     for t in monomials:
-        _check_labels(t)
+        _check_labels(t, leaf_labels(t))
         scan = trivial.get(strip_labels(to_alternating(t)))
         if scan is None:
             scan, store, search = _scan(t, budget)
@@ -507,9 +555,11 @@ def scan_monomials(
 
 def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     """The interchange search behind ``find_commutations``, with its store
-    and its frontier."""
+    and its frontier.  The labels are checked on the walk that interns t."""
     store = _Store()
-    root = store.from_binary(t)
+    leaves: list[int] = []
+    root = store.from_binary(t, leaves)
+    _check_labels(t, leaves)
     search = Frontier(store.successors, root)
     exhausted = search.run(budget)
     # an interned state other than the root is never the identity
@@ -526,9 +576,10 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     return scan, store, search
 
 
-def _check_labels(t: Tree) -> None:
-    """ValueError unless t's leaf labels are 1..n, the arguments a witness permutes."""
-    if not is_standard(t):
+def _check_labels(t: Tree, leaves: list[int] | tuple[int, ...]) -> None:
+    """ValueError unless t's leaf labels, ``leaves`` in any order, are 1..n,
+    the arguments a witness permutes."""
+    if sorted(leaves) != list(range(1, len(leaves) + 1)):
         raise ValueError(f"leaf labels {leaf_labels(t)} are not a permutation of 1..{arity(t)}")
 
 

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 H = "h"
 V = "v"
 OPS = (H, V)
+OPPOSITE = {H: V, V: H}
 SHAPE_ARITY_LIMIT = 10
 # The tree walkers recurse once or twice a level under Python's default
 # recursion limit of 1000; a parsed monomial nests at most this deep.
@@ -56,7 +57,7 @@ class MonomialSyntaxError(ValueError):
 
 
 def opposite(op: str) -> str:
-    return V if op == H else H
+    return OPPOSITE[op]
 
 
 def is_leaf(t: Tree) -> bool:
@@ -310,7 +311,7 @@ class DihedralElement:
 
     def apply(self, t: Tree) -> Tree:
         flipped = {H: self.flip_h, V: self.flip_v}
-        image = {H: V, V: H} if self.transpose else {H: H, V: V}
+        image = OPPOSITE if self.transpose else {H: H, V: V}
 
         def go(node: Tree) -> Tree:
             if is_leaf(node):

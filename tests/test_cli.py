@@ -119,6 +119,23 @@ def test_render_refuses_a_negative_exponent(tmp_path, capsys):
     assert captured.err == "error: coordinate '1/2^-1' has a negative exponent\n"
 
 
+@pytest.mark.parametrize(
+    "coordinate, reason",
+    [
+        ("1/2^20000", "has an exponent above 400"),
+        ("1/2^2000000", "has an exponent above 400"),
+        ("1/2^2/2^3", "has more than one '/2^'"),
+    ],
+)
+def test_render_refuses_a_malformed_exponent(tmp_path, capsys, coordinate, reason):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"0 {coordinate} 0 1 1\n")
+    assert main(["render", "--input", str(src)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coordinate {coordinate!r} {reason}\n"
+
+
 def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
     # an invalid partition file reports its own error, not a monomial one
     dup = tmp_path / "dup.txt"
