@@ -45,8 +45,9 @@ VERTICAL = "vertical"
 X_AXIS = "x"
 Y_AXIS = "y"
 PARTITION_ARITY_LIMIT = 8
-# A block a/2^b wide sits at least b levels deep in its monomial, so a
-# coordinate past the parser's nesting limit names no monomial medial reads.
+# A coordinate a/2^b in lowest terms lies on a cut b levels deep, so the
+# blocks beside it are leaves at least b levels deep in their monomial; past
+# the parser's nesting limit it belongs to no monomial medial reads.
 DYADIC_EXPONENT_LIMIT = trees.NESTING_LIMIT
 
 

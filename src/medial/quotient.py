@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .assoc import AltTree, comb, right_comb, to_alternating
 from .rewrite import (
@@ -147,7 +147,8 @@ class _Store(dict):
 
     def from_binary(self, t: Tree, leaves: list[int] | None = None) -> int:
         """Flatten and intern a monomial, binary or alternating, in one pass;
-        its leaf labels are appended to ``leaves`` when a list is given."""
+        its leaf labels are appended to ``leaves``, left to right, when a
+        list is given."""
         if leaves is None:
             leaves = []
         if is_leaf(t):
@@ -526,7 +527,7 @@ def find_commutations(
     1..n, before any search.
     """
     if families is not None and frozenset(families) != ALL_FAMILIES:
-        _check_labels(t, leaf_labels(t))
+        _check_labels(leaf_labels(t))
         return _find_commutations_binary(t, frozenset(families), budget)
     return _scan(t, budget)[0]
 
@@ -543,7 +544,7 @@ def scan_monomials(
     """
     trivial: dict[AltTree, CommutationScan] = {}
     for t in monomials:
-        _check_labels(t, leaf_labels(t))
+        _check_labels(leaf_labels(t))
         scan = trivial.get(strip_labels(to_alternating(t)))
         if scan is None:
             scan, store, search = _scan(t, budget)
@@ -559,7 +560,7 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     store = _Store()
     leaves: list[int] = []
     root = store.from_binary(t, leaves)
-    _check_labels(t, leaves)
+    _check_labels(leaves)
     search = Frontier(store.successors, root)
     exhausted = search.run(budget)
     # an interned state other than the root is never the identity
@@ -576,11 +577,11 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     return scan, store, search
 
 
-def _check_labels(t: Tree, leaves: list[int] | tuple[int, ...]) -> None:
-    """ValueError unless t's leaf labels, ``leaves`` in any order, are 1..n,
-    the arguments a witness permutes."""
+def _check_labels(leaves: Sequence[int]) -> None:
+    """ValueError unless a monomial's leaf labels, ``leaves`` read left to
+    right, are 1..n, the arguments a witness permutes."""
     if sorted(leaves) != list(range(1, len(leaves) + 1)):
-        raise ValueError(f"leaf labels {leaf_labels(t)} are not a permutation of 1..{arity(t)}")
+        raise ValueError(f"leaf labels {tuple(leaves)} are not a permutation of 1..{len(leaves)}")
 
 
 def _witnesses(t: Tree, found: Iterable, certify: Callable) -> tuple[CommutationWitness, ...]:
