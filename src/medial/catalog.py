@@ -9,7 +9,6 @@ under ``medial/certs`` and replay offline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -143,6 +142,6 @@ CERTIFICATE_FILES = {
 
 
 def load_certificate(name: str) -> Certificate:
-    filename = CERTIFICATE_FILES[name]
-    data = resources.files("medial.certs").joinpath(filename).read_text()
-    return Certificate.from_json(json.loads(data))
+    return Certificate.load(
+        resources.files("medial.certs").joinpath(CERTIFICATE_FILES[name]).read_text()
+    )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from itertools import tee
 from pathlib import Path
 
@@ -24,18 +25,6 @@ from .rewrite import (
 from .trees import arity, format_monomial, parse_monomial
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
-
-VERIFY_TARGETS = (
-    "kock16",
-    "bm9",
-    "configA",
-    "configB",
-    "case2",
-    "configC-negative",
-    "seven-block-negative",
-    "case1-negative",
-)
-
 
 def _worst(a: int, b: int) -> int:
     """Combine exit codes: FAIL dominates INCONCLUSIVE dominates PASS."""
@@ -194,20 +183,21 @@ def _verify_case1(budget: int) -> int:
     return PASS
 
 
+# Each verify target's check of a budget, in the order the help lists them.
+VERIFY_TARGETS = {
+    "kock16": partial(_verify_relation, "kock16", rediscover=False),
+    "bm9": partial(_verify_relation, "bm9", rediscover=False),
+    "configA": partial(_verify_relation, "configA", rediscover=True),
+    "configB": partial(_verify_relation, "configB", rediscover=True),
+    "case2": partial(_verify_relation, "case2", rediscover=True),
+    "configC-negative": partial(_verify_negative_scan, "configC-negative", catalog.CONFIG_C),
+    "seven-block-negative": _verify_seven_block,
+    "case1-negative": _verify_case1,
+}
+
+
 def cmd_verify(args) -> int:
-    name, budget = args.name, args.budget
-    if name == "kock16" or name == "bm9":
-        return _verify_relation(name, budget, rediscover=False)
-    if name in ("configA", "configB", "case2"):
-        return _verify_relation(name, budget, rediscover=True)
-    if name == "configC-negative":
-        return _verify_negative_scan(name, catalog.CONFIG_C, budget)
-    if name == "seven-block-negative":
-        return _verify_seven_block(budget)
-    if name == "case1-negative":
-        return _verify_case1(budget)
-    print(f"error: unknown target {name!r}", file=sys.stderr)
-    return USAGE
+    return VERIFY_TARGETS[args.name](args.budget)
 
 
 def cmd_search(args) -> int:
@@ -275,13 +265,12 @@ def cmd_search(args) -> int:
 
 
 def _partition_shaped(text: str) -> bool:
-    """Some line is five fields with an a/2^b coordinate, as partition files
-    are; no monomial has a slash."""
-    for line in text.splitlines():
-        fields = line.split()
-        if len(fields) == 5 and any("/" in f for f in fields[:4]):
-            return True
-    return False
+    """Some line is five fields whose first four use only the characters of
+    a coordinate, as partition files do; no monomial's brackets or
+    operations are among them."""
+    coordinate = set("0123456789+-./^eE_").issuperset
+    lines = map(str.split, text.splitlines())
+    return any(len(fields) == 5 and all(map(coordinate, fields[:4])) for fields in lines)
 
 
 def cmd_render(args) -> int:
@@ -290,11 +279,9 @@ def cmd_render(args) -> int:
             part = geometry.realize(parse_monomial(args.monomial))
         elif args.input:
             text = Path(args.input).read_text()
-            try:
+            if _partition_shaped(text):
                 part = geometry.parse_partition(text)
-            except ValueError:
-                if _partition_shaped(text):
-                    raise
+            else:
                 part = geometry.realize(parse_monomial(text.strip()))
         else:
             print("error: provide --monomial or --input", file=sys.stderr)

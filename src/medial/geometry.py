@@ -22,6 +22,11 @@ from valid ones by construction and skip them; ``realize``, ``hjoin`` and
 ``vjoin`` keep the labels they are given, so those must be distinct.
 ``cuts`` trusts its input too: in blocks that tile the square, every block
 side strictly inside it lies under one of the cuts found.
+
+Dyadic partitions are built one way: one with more than one block is the
+``hjoin`` or the ``vjoin`` of two smaller ones, once for each main cut it
+has.  ``enumerate_partitions`` and ``grid_partitions`` read one table of
+these joins (``_dyadic``), and ``partition_count`` counts them.
 """
 
 from __future__ import annotations
@@ -78,10 +83,14 @@ def format_dyadic(value: Fraction) -> str:
 def parse_dyadic(text: str) -> Fraction:
     """A coordinate written ``a/2^b``, or in any form ``Fraction`` reads;
     ValueError naming the coordinate when ``b`` is negative, above
-    ``DYADIC_EXPONENT_LIMIT`` or followed by a second ``/2^``."""
+    ``DYADIC_EXPONENT_LIMIT`` or followed by a second ``/2^``, or when a
+    denominator is zero."""
     text = text.strip()
     if "/2^" not in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {text!r} has a zero denominator") from None
     num, *exps = text.split("/2^")
     if len(exps) > 1:
         raise ValueError(f"coordinate {text!r} has more than one '/2^'")
@@ -110,9 +119,6 @@ class Block:
     @property
     def area(self) -> Fraction:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def touches_boundary(self) -> bool:
-        return self.x1 == ZERO or self.x2 == ONE or self.y1 == ZERO or self.y2 == ONE
 
 
 @dataclass(frozen=True)
@@ -494,17 +500,17 @@ INTERIOR = "interior"
 BORDER = "border"
 
 
+def _on_border(den: int, cell: tuple) -> bool:
+    x1, x2, y1, y2, _ = cell
+    return x1 == 0 or x2 == den or y1 == 0 or y2 == den
+
+
 def classify_blocks(p: BlockPartition) -> dict[Block, str]:
-    return {b: (BORDER if b.touches_boundary() else INTERIOR) for b in p.blocks}
+    return {b: BORDER if _on_border(p.den, c) else INTERIOR for b, c in zip(p.blocks, p.cells)}
 
 
 def interior_labels(p: BlockPartition) -> frozenset[int]:
-    den = p.den
-    return frozenset(
-        label
-        for x1, x2, y1, y2, label in p.cells
-        if label is not None and 0 < x1 and x2 < den and 0 < y1 and y2 < den
-    )
+    return frozenset(c[4] for c in p.cells if c[4] is not None and not _on_border(p.den, c))
 
 
 def boundary_order(p: BlockPartition) -> tuple[tuple[int, ...], ...]:
@@ -657,20 +663,24 @@ def _by_coordinates(parts) -> list[BlockPartition]:
     return sorted(parts, key=coordinates)
 
 
+def _joins(d: list[list[BlockPartition]], m: int, join) -> Iterator[BlockPartition]:
+    """``join(p, q)`` for every p in d[a] and q in d[m - a]."""
+    return (join(p, q) for a in range(1, m) for p in d[a] for q in d[m - a])
+
+
+def _dyadic(n: int) -> list[list[BlockPartition]]:
+    """d[m], the unlabeled dyadic partitions with m blocks, for m <= n."""
+    d = [[], [unit_square(label=None)]]
+    for m in range(2, n + 1):
+        d.append(list({*_joins(d, m, hjoin), *_joins(d, m, vjoin)}))
+    return d
+
+
 def enumerate_partitions(n: int) -> Iterator[BlockPartition]:
-    """All distinct unlabeled dyadic partitions with n blocks (BFS over
-    bisection sequences, deduplicated), in lexicographic order of their
-    block coordinates."""
+    """All distinct unlabeled dyadic partitions with n blocks, in
+    lexicographic order of their block coordinates."""
     trees.check_arity(n, PARTITION_ARITY_LIMIT)
-    level = {unit_square(label=None)}
-    for _ in range(n - 1):
-        level = {
-            bisect(part, ordinal, axis)
-            for part in level
-            for ordinal in range(1, len(part) + 1)
-            for axis in (X_AXIS, Y_AXIS)
-        }
-    yield from _by_coordinates(level)
+    yield from _by_coordinates(_dyadic(n)[n])
 
 
 def grid_partitions(n: int) -> list[BlockPartition]:
@@ -682,15 +692,10 @@ def grid_partitions(n: int) -> list[BlockPartition]:
     the rest of the arity-n partitions is never made.
     """
     trees.check_arity(n, PARTITION_ARITY_LIMIT)
-    quadrants = {k: list(enumerate_partitions(k)) for k in range(1, n - 2)}
-    # halves[m]: the m-block partitions with a vertical main cut
-    halves = {
-        m: [hjoin(p, q) for a in range(1, m) for p in quadrants[a] for q in quadrants[m - a]]
-        for m in range(2, n - 1)
-    }
-    return _by_coordinates(
-        [vjoin(s, t) for m in range(2, n - 1) for s in halves[m] for t in halves[n - m]]
-    )
+    quadrants = _dyadic(n - 3)
+    # halves[m]: the m-block partitions with a vertical main cut, for m < n - 1
+    halves = [list(_joins(quadrants, m, hjoin)) if m < n - 1 else [] for m in range(n)]
+    return _by_coordinates(list(_joins(halves, n, vjoin)))
 
 
 def partition_count(n: int) -> int:

@@ -170,16 +170,10 @@ class PiecewiseLinearMap:
         )
 
     def slopes_are_powers_of_two(self) -> bool:
-        for s in self.slopes():
-            if s.numerator == 1:
-                base = s.denominator
-            elif s.denominator == 1:
-                base = s.numerator
-            else:
-                return False
-            if base & (base - 1):
-                return False
-        return True
+        """Whether every slope a/b (lowest terms) is a power of two: exactly when a * b is."""
+        return all(
+            is_dyadic_fraction(Fraction(1, s.numerator * s.denominator)) for s in self.slopes()
+        )
 
     def compose(self, inner: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
         """self after inner, refined to the union of relevant breakpoints."""

@@ -45,14 +45,15 @@ only ints.
   share is one id and is not entered.
 
 Both searches run on ``rewrite.Frontier``, the package's one
-breadth-first search, over ``_Store.successors``: ``check_equivalence``
-grows two frontiers towards each other and ``find_commutations`` one.  A
-frontier maps each state to the state that discovered it and records no
-move.  Only the traced path of a result is spelled out (``_trace``): the
-move from a parent to a state is
-``move(parent, successors(parent).index(state))``, because a state is
-discovered at its first place in its parent's list.  The states on that
-path become nested tuples again.
+breadth-first search, over ``_Store.successors``.  ``find_commutations``
+grows one frontier, ``check_equivalence`` two towards each other until
+either runs dry, which proves the sides distinct: that side holds its whole
+class, so it would have met the other root (Pohl 1971).  A frontier maps
+each state to the state that discovered it and records no move.  Only the
+traced path of a result is spelled out (``_trace``): the move from a parent
+to a state is ``move(parent, successors(parent).index(state))``, because a
+state is discovered at its first place in its parent's list.  The states on
+that path become nested tuples again.
 
 Outside the store a move has one meaning, the binary interchange it stands
 for: ``_interchange`` builds a binary representative in which the move is
@@ -117,7 +118,6 @@ from .trees import (
     relabel,
     replace_at,
     strip_labels,
-    subtree_at,
 )
 
 # A move is (path to the node, child index i, split of child i, split of
@@ -327,10 +327,10 @@ def _comb_position(j: int, m: int) -> Position:
     return (1,) * j + (0,) * (j < m - 1)
 
 
-def _rep_with_redex(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, Position]:
-    """A binary representative in which the move is one interchange redex:
-    ``tree_comb``, which is ``right_comb(tree)``, with the moved node
-    rebracketed around the redex."""
+def _interchange(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, RewriteStep]:
+    """The binary interchange the move stands for: ``tree_comb``, which is
+    ``right_comb(tree)``, with the moved node rebracketed around the redex,
+    and the step on it, whose direction the node's operation gives."""
     path, i, sa, sb = move
     pos, node = (), tree
     for j in path:
@@ -341,15 +341,8 @@ def _rep_with_redex(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, P
     parts = [right_comb(c) for c in kids]
     parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
     rep = replace_at(tree_comb, pos, comb(op, parts))
-    return rep, pos + _comb_position(i, len(parts))
-
-
-def _interchange(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, RewriteStep]:
-    """The binary interchange the move stands for: a representative of
-    ``tree`` and the one interchange step on it."""
-    rep, pos = _rep_with_redex(tree, move, tree_comb)
-    direction = FORWARD if subtree_at(rep, pos)[0] == V else BACKWARD
-    return rep, RewriteStep(INTERCHANGE, direction, pos)
+    direction = FORWARD if op == V else BACKWARD
+    return rep, RewriteStep(INTERCHANGE, direction, pos + _comb_position(i, len(parts)))
 
 
 def apply_move(tree: AltTree, move: Move) -> AltTree:
@@ -440,8 +433,8 @@ def check_equivalence(
     """Bidirectional search for a rewrite proof that t1 and t2 are equal.
 
     Returns a replayable certificate on success.  On failure the result
-    distinguishes a definitive negative (both closures exhausted, disjoint)
-    from plain budget exhaustion.
+    distinguishes a definitive negative (one side's class exhausted without
+    meeting the other) from plain budget exhaustion.
     """
     if arity(t1) != arity(t2):
         raise ValueError("monomials must have equal arity")
@@ -458,10 +451,8 @@ def check_equivalence(
     def expanded() -> int:
         return sides[0].expanded + sides[1].expanded
 
-    while sides[0].queue or sides[1].queue:
+    while sides[0].queue and sides[1].queue:  # a dry side proves them distinct
         side = 0 if len(sides[0].queue) <= len(sides[1].queue) else 1
-        if not sides[side].queue:
-            side = 1 - side
         mine, other = sides[side], sides[1 - side]
         for _ in range(len(mine.queue)):
             if expanded() >= budget:

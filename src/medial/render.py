@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import BlockPartition, dyadic_level
+from .geometry import BlockPartition, dyadic_level, is_dyadic_fraction
 
 SVG_SIZE = 480
 SVG_MARGIN = 10
@@ -26,7 +26,7 @@ def _decimal(value: Fraction) -> str:
 
 
 def _require_dyadic(p: BlockPartition) -> None:
-    if p.den & (p.den - 1):
+    if not is_dyadic_fraction(Fraction(1, p.den)):
         raise ValueError(
             f"cannot draw a partition over denominator {p.den}: "
             "coordinates must be dyadic (a/2^b)"
@@ -75,7 +75,7 @@ def partition_ascii(p: BlockPartition) -> str:
     """Character-grid drawing; rows run north to south.
 
     Raises ValueError when coordinates are not dyadic or finer than
-    ``1/ASCII_MAX_DEN``.
+    ``1/ASCII_MAX_DEN``, or when a label is wider than its block's inside.
     """
     _require_dyadic(p)
     if p.den > ASCII_MAX_DEN:
@@ -116,6 +116,8 @@ def partition_ascii(p: BlockPartition) -> str:
         text = str(b.label)
         r = (row(b.y2) + row(b.y1)) // 2
         c = (col(b.x1) + col(b.x2)) // 2 - len(text) // 2
+        if c <= col(b.x1) or c + len(text) > col(b.x2):
+            raise ValueError(f"label {text} is too wide to draw as text; use --format svg")
         for k, ch in enumerate(text):
             grid[r][c + k] = ch
     return "\n".join("".join(line).rstrip() for line in grid) + "\n"

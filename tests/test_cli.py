@@ -125,6 +125,7 @@ def test_render_refuses_a_negative_exponent(tmp_path, capsys):
         ("1/2^20000", "has an exponent above 400"),
         ("1/2^2000000", "has an exponent above 400"),
         ("1/2^2/2^3", "has more than one '/2^'"),
+        ("1/0", "has a zero denominator"),
     ],
 )
 def test_render_refuses_a_malformed_exponent(tmp_path, capsys, coordinate, reason):
@@ -143,11 +144,50 @@ def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
     # five whitespace-separated fields, but a monomial with a missing ')'
     typo = tmp_path / "typo.txt"
     typo.write_text("((a h b) v c\n")
-    for src, message in ((dup, "duplicate block labels"), (typo, "unexpected end of input")):
+    # a partition file written in decimals
+    half = tmp_path / "half.txt"
+    half.write_text("0 0.5 0 1 1\n")
+    for src, message in (
+        (dup, "duplicate block labels"),
+        (typo, "unexpected end of input"),
+        (half, "block areas sum to 1/2, not 1"),
+    ):
         assert main(["render", "--input", str(src)]) == USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("0 1 0 1 12345678901234567890\n", "12345678901234567890"),
+        ("0 1/2 0 1 1234\n1/2 1 0 1 5\n", "1234"),
+    ],
+    ids=["wider-than-the-square", "over-the-border"],
+)
+def test_render_ascii_refuses_a_label_wider_than_its_block(text, label, tmp_path, capsys):
+    src = tmp_path / "wide.txt"
+    src.write_text(text)
+    assert main(["render", "--input", str(src)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: label {label} ") and captured.err.count("\n") == 1
+    assert "--format svg" in captured.err
+    assert main(["render", "--input", str(src), "--format", "svg"]) == PASS
+
+
+def test_render_ascii_draws_a_label_that_fills_its_block(tmp_path, capsys):
+    src = tmp_path / "full.txt"
+    src.write_text("0 1/2 0 1 123\n1/2 1 0 1 5\n")
+    assert main(["render", "--input", str(src)]) == PASS
+    assert capsys.readouterr().out == (
+        "+---+---+\n"
+        "|   |   |\n"
+        "|123| 5 |\n"
+        "|   |   |\n"
+        "+---+---+\n"
+    )
 
 
 def test_render_ascii_refuses_a_too_fine_partition(capsys):
@@ -360,6 +400,41 @@ def test_count_graph_out_bytes_are_pinned(arity, lines, digest, tmp_path, capsys
 def test_search_out_bytes_are_pinned(argv, status, lines, digest, capsys):
     # at --budget 8, 252 candidates are INCOMPLETE and 128 exhaust their class
     assert main(["search", *argv]) == status
+    data = capsys.readouterr().out.encode()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "target, status, lines, digest",
+    [
+        ("bm9", PASS, 3, "a6291f2914f03dfb733f1c6afb869748a49b76fd2e4510ef29124443af050ba6"),
+        ("configA", PASS, 4, "788ca41bf5b84a98cd2b781b872a972ea6e441e1e4d9a7b0769d3fc178e89d04"),
+        ("configB", PASS, 4, "a23a2d7d99d998a69b644040c411083ad9d38080b30343e1d54c4405c5e2261e"),
+        ("case2", PASS, 4, "0afaf04949cce82f0bf377ecb4f7f44d6235da7fd419016a3c68b51fb107e79e"),
+        (
+            "configC-negative",
+            FAIL,
+            1,
+            "cdfe98af0ff95bc9f492f40fd4f939ee1127c63662f7cc77f367467af9366fdb",
+        ),
+        (
+            "seven-block-negative",
+            PASS,
+            3,
+            "70369eb908db8cd32c8b18d7e57cac27ddeb8f968970625dcf3515592c50a872",
+        ),
+        (
+            "case1-negative",
+            PASS,
+            1,
+            "01f2d648d3b4b30decdb20f136bb4f1274a8158c8d2ba659619ec9fb35e5d869",
+        ),
+    ],
+)
+def test_verify_out_bytes_are_pinned(target, status, lines, digest, capsys):
+    # kock16's search is pinned by test_search_counts_are_pinned instead
+    assert main(["verify", target]) == status
     data = capsys.readouterr().out.encode()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from medial.intervals import (
+    PiecewiseLinearMap,
     association_to_sequence,
     association_types,
     format_association,
@@ -144,6 +145,21 @@ def test_thompson_composition_agrees_on_points():
     for x in a:
         assert composed(x) == h(x)
     assert composed.slopes_are_powers_of_two()
+
+
+@pytest.mark.parametrize(
+    "points, powers",
+    [
+        (((0, 0), (1, 1)), True),
+        (((0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(3, 4)), (1, 1)), True),
+        (((0, 0), (F(1, 2), F(1, 4)), (1, 1)), False),
+        (((0, 0), (F(1, 4), F(3, 4)), (1, 1)), False),
+    ],
+)
+def test_slopes_are_powers_of_two(points, powers):
+    # slopes 1; 1/2, 2, 1; 1/2, 3/2; 3, 1/3
+    f = PiecewiseLinearMap(tuple((F(x), F(y)) for x, y in points))
+    assert f.slopes_are_powers_of_two() is powers
 
 
 def test_thompson_size_mismatch():

@@ -9,6 +9,7 @@ import pytest
 from medial import quotient
 from medial.assoc import (
     binary_representatives,
+    comb,
     enumerate_alternating,
     right_comb,
     to_alternating,
@@ -302,6 +303,19 @@ def test_check_equivalence_proved_distinct():
     res = check_equivalence(t, u)
     assert not res.found
     assert res.proved_distinct
+
+
+@pytest.mark.parametrize("comb_first", [True, False], ids=["comb-first", "kock16-first"])
+def test_check_equivalence_stops_when_one_side_runs_dry(comb_first):
+    # a flat h of 16 arguments has no interchange neighbours, so its class is
+    # itself; it is proved distinct from kock16 without exhausting kock16's
+    # class of about 25.4M states
+    flat = comb(H, tuple(range(1, 17)))
+    pair = (flat, KOCK16.lhs) if comb_first else (KOCK16.lhs, flat)
+    res = check_equivalence(*pair, budget=2000)
+    assert not res.found
+    assert res.proved_distinct
+    assert res.expanded <= 2
 
 
 def test_check_equivalence_budget():
