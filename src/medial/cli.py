@@ -22,7 +22,7 @@ from .rewrite import (
     closure,
     replay_certificate,
 )
-from .trees import arity, format_monomial, parse_monomial
+from .trees import OPS, arity, format_monomial, parse_monomial
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 
@@ -265,12 +265,14 @@ def cmd_search(args) -> int:
 
 
 def _partition_shaped(text: str) -> bool:
-    """Some line is five fields whose first four use only the characters of
-    a coordinate, as partition files do; no monomial's brackets or
-    operations are among them."""
-    coordinate = set("0123456789+-./^eE_").issuperset
-    lines = map(str.split, text.splitlines())
-    return any(len(fields) == 5 and all(map(coordinate, fields[:4])) for fields in lines)
+    """Some line is five fields with no bracket and no operation among them,
+    as in partition files; a monomial of two or more arguments has brackets
+    and operations, and one of one argument is one field."""
+    for line in text.splitlines():
+        fields = line.split()
+        if len(fields) == 5 and "(" not in line and ")" not in line and not {*OPS} & {*fields}:
+            return True
+    return False
 
 
 def cmd_render(args) -> int:

@@ -80,26 +80,32 @@ def format_dyadic(value: Fraction) -> str:
     return f"{value.numerator}/2^{dyadic_level(value)}"
 
 
+class _NotANumber(ValueError):
+    """A coordinate in which neither ``Fraction`` nor ``int`` reads a number."""
+
+
 def parse_dyadic(text: str) -> Fraction:
     """A coordinate written ``a/2^b``, or in any form ``Fraction`` reads;
-    ValueError naming the coordinate when ``b`` is negative, above
-    ``DYADIC_EXPONENT_LIMIT`` or followed by a second ``/2^``, or when a
-    denominator is zero."""
+    ValueError naming the coordinate when it holds no number, when ``b`` is
+    negative, above ``DYADIC_EXPONENT_LIMIT`` or followed by a second
+    ``/2^``, or when a denominator is zero."""
     text = text.strip()
-    if "/2^" not in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"coordinate {text!r} has a zero denominator") from None
     num, *exps = text.split("/2^")
     if len(exps) > 1:
         raise ValueError(f"coordinate {text!r} has more than one '/2^'")
-    exp = int(exps[0])
+    try:
+        if not exps:
+            return Fraction(text)
+        num, exp = int(num), int(exps[0])
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate {text!r} has a zero denominator") from None
+    except ValueError:
+        raise _NotANumber(f"coordinate {text!r} is not a number") from None
     if exp < 0:
         raise ValueError(f"coordinate {text!r} has a negative exponent")
     if exp > DYADIC_EXPONENT_LIMIT:
         raise ValueError(f"coordinate {text!r} has an exponent above {DYADIC_EXPONENT_LIMIT}")
-    return Fraction(int(num), 2**exp)
+    return Fraction(num, 2**exp)
 
 
 @dataclass(frozen=True, order=True)
@@ -634,6 +640,10 @@ def format_partition(p: BlockPartition) -> str:
 
 
 def parse_partition(text: str) -> BlockPartition:
+    """The partition of ``format_partition``'s text: one ``x1 x2 y1 y2
+    label`` line per block, ``-`` for no label; blank lines and lines that
+    start with ``#`` are skipped.  A field that holds no number is named
+    with its line."""
     blocks = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -642,9 +652,17 @@ def parse_partition(text: str) -> BlockPartition:
         parts = line.split()
         if len(parts) != 5:
             raise PartitionError(f"line {lineno}: expected 'x1 x2 y1 y2 label'")
-        x1, x2, y1, y2 = (parse_dyadic(s) for s in parts[:4])
-        label = None if parts[4] == "-" else int(parts[4])
-        blocks.append(Block(x1, x2, y1, y2, label))
+        coords = []
+        for field, s in zip(("x1", "x2", "y1", "y2"), parts):
+            try:
+                coords.append(parse_dyadic(s))
+            except _NotANumber as exc:
+                raise PartitionError(f"line {lineno}, {field}: {exc}") from None
+        try:
+            label = None if parts[4] == "-" else int(parts[4])
+        except ValueError:
+            raise PartitionError(f"line {lineno}, label: {parts[4]!r} is not an int or '-'") from None
+        blocks.append(Block(*coords, label))
     return BlockPartition(tuple(blocks))
 
 
@@ -669,10 +687,21 @@ def _joins(d: list[list[BlockPartition]], m: int, join) -> Iterator[BlockPartiti
 
 
 def _dyadic(n: int) -> list[list[BlockPartition]]:
-    """d[m], the unlabeled dyadic partitions with m blocks, for m <= n."""
+    """d[m], the unlabeled dyadic partitions with m blocks, for m <= n.
+
+    Equal cells are one tuple within a call.  Each join makes fresh cells,
+    and the 47,082 partitions with 8 blocks hold 376,656 cells of only
+    2,560 values.
+    """
+    cells: dict[tuple, tuple] = {}
+
+    def interned(p: BlockPartition) -> BlockPartition:
+        p.__dict__["cells"] = tuple([cells.setdefault(c, c) for c in p.cells])
+        return p
+
     d = [[], [unit_square(label=None)]]
     for m in range(2, n + 1):
-        d.append(list({*_joins(d, m, hjoin), *_joins(d, m, vjoin)}))
+        d.append(list({*map(interned, _joins(d, m, hjoin)), *map(interned, _joins(d, m, vjoin))}))
     return d
 
 

@@ -9,21 +9,29 @@ the associativity churn, which keeps the big equivalence checks tractable.
 
 Each public search call builds one hash-consing store (Goto 1974;
 Filliatre and Conchon, "Type-safe modular hash-consing", 2006) and drops
-it on return; nothing is cached between calls.  The search itself handles
-only ints.
+it on return; nothing is cached between calls.  The store interns only
+subtrees; a search state is the flat key of its root.
 
-* A leaf stays its label, an int >= 0.  A node is a negative int id,
-  interned on the key ``(op, child, ...)`` of its child ids, so hashing and
-  comparing a key is shallow, and a subtree shared by many states is one
-  id.  The store is a dict whose ``__missing__`` interns the key, so a
-  node seen before costs one lookup.  A monomial, binary or alternating,
-  is flattened and interned in one pass.
-* ``_Store.successors(n)`` is a flat list of the ids of ``n``'s
-  neighbours.  Every non-root node memoizes its list; a state's own list
-  is rebuilt from its children's lists on each expansion and never kept,
-  because states far outnumber the subtrees they share.  A child result
-  that collapsed onto the node's own operation is spliced into the node,
-  as flattening the binary interchange does.
+* A leaf stays its label, an int >= 0.  A node below the root is a
+  negative int id, interned on the key ``(op, child, ...)`` of its child
+  ids, so hashing and comparing a key is shallow, and a subtree shared by
+  many states is one id.  The store is a dict whose ``__missing__`` interns
+  the key, so a node seen before costs one lookup.  A monomial, binary or
+  alternating, is flattened and interned in one pass.
+* A state is its root's key, not an id: a state is never a child of
+  another node, so interning it would buy nothing and cost a dict entry, a
+  ``keys`` slot, a ``memo`` slot, an int and a lookup per edge.  A
+  one-leaf state is its label.  ``find_commutations(kock16, budget=100000)``
+  discovers 213,710 states, interns 98,340 nodes and grows the peak RSS by
+  about 220 bytes a state on CPython 3.11; interning the states too would
+  make that 312,050 nodes and 285 bytes a state.
+* ``_Store.neighbours(key)`` is a flat list of the keys of a state's
+  neighbours, and ``successors(n)`` the same list interned, as ids.  Every
+  non-root node memoizes its list of ids; a state's own list is rebuilt
+  from its children's lists on each expansion and never kept, because
+  states far outnumber the subtrees they share.  A child result that
+  collapsed onto the node's own operation is spliced into the node, as
+  flattening the binary interchange does.
 * A local move regroups two adjacent children, each split in two.  Each
   split comes twice from ``_splits``: its halves prefixed with the new
   node's operation, for the left child of the pair, and bare, for the
@@ -36,22 +44,23 @@ only ints.
   ``prove`` benchmark's peak RSS from 46.3 to 61.1 MB (+32 %) for no
   visible ``census9`` gain, and a dict of the 256 most recent splits,
   cleared when full, left ``census9`` and the kock16 check where they were.
-* ``_Store`` is the only code that enumerates moves.  ``successors(n)``
+* ``_Store`` is the only code that enumerates moves.  ``neighbours(key)``
   lists first the local moves of each adjacent pair of non-leaf children,
   pair by pair, split by split, then the moves inside each child, from the
-  last child to the first; ``move(n, k)`` names the move behind entry ``k``.
-* "Same operation-labelled shape as the start" walks the two states'
-  keys side by side and stops at the first difference; a subtree the two
-  share is one id and is not entered.
+  last child to the first; ``move(key, k)`` names the move behind entry
+  ``k``.
+* "Same operation-labelled shape as the start" compares the two states'
+  keys, then walks their children side by side and stops at the first
+  difference; a subtree the two share is one id and is not entered.
 
 Both searches run on ``rewrite.Frontier``, the package's one
-breadth-first search, over ``_Store.successors``.  ``find_commutations``
+breadth-first search, over ``_Store.neighbours``.  ``find_commutations``
 grows one frontier, ``check_equivalence`` two towards each other until
 either runs dry, which proves the sides distinct: that side holds its whole
 class, so it would have met the other root (Pohl 1971).  A frontier maps
 each state to the state that discovered it and records no move.  Only the
 traced path of a result is spelled out (``_trace``): the move from a parent
-to a state is ``move(parent, successors(parent).index(state))``, because a
+to a state is ``move(parent, neighbours(parent).index(state))``, because a
 state is discovered at its first place in its parent's list.  The states on
 that path become nested tuples again.
 
@@ -123,6 +132,7 @@ from .trees import (
 # A move is (path to the node, child index i, split of child i, split of
 # child i+1); the node's operation determines the interchange direction.
 Move = tuple[Position, int, int, int]
+State = tuple | int  # the flat key (op, child id, ...) of a searched tree, or a leaf
 Chain = list[tuple[AltTree, Move]]  # (state, move taken there), in order
 
 
@@ -131,7 +141,7 @@ Chain = list[tuple[AltTree, Move]]  # (state, move taken there), in order
 # ---------------------------------------------------------------------------
 
 class _Store(dict):
-    """Interned alternating trees of one search; see the module docstring."""
+    """Interned subtrees of one search; see the module docstring."""
 
     __slots__ = ("keys", "memo")
 
@@ -149,6 +159,12 @@ class _Store(dict):
         """Flatten and intern a monomial, binary or alternating, in one pass;
         its leaf labels are appended to ``leaves``, left to right, when a
         list is given."""
+        key = self.state(t, leaves)
+        return key if is_leaf(key) else self[key]
+
+    def state(self, t: Tree, leaves: list[int] | None = None) -> State:
+        """``from_binary`` without interning the root: the search state of
+        ``t``, the flat key of its root, or a leaf alone."""
         if leaves is None:
             leaves = []
         if is_leaf(t):
@@ -166,34 +182,43 @@ class _Store(dict):
                 stack += sub[:0:-1]
             else:
                 parts.append(self.from_binary(sub, leaves))
-        return self[(op, *parts)]
+        return (op, *parts)
 
-    def tree(self, n: int) -> AltTree:
-        if n >= 0:
-            return n
-        key = self.keys[~n]
-        return (key[0], *map(self.tree, key[1:]))
+    def tree(self, n: State) -> AltTree:
+        """The nested tuples of a state, a node id or a leaf."""
+        if is_leaf(n):
+            if n >= 0:
+                return n
+            n = self.keys[~n]
+        return (n[0], *map(self.tree, n[1:]))
 
-    def same_shape(self, a: int, b: int) -> bool:
-        """True iff ``a`` and ``b`` have the same operation-labelled shape.
+    def same_shape(self, a: State, b: State) -> bool:
+        """True iff ``a`` and ``b``, each a state, a node id or a leaf, have
+        the same operation-labelled shape.
 
-        Walks the two keys in pairs and stops at the first difference: a
-        leaf against a node, another operation or another width.  Equal
-        ids share their whole subtree, so the walk skips them.
+        Compares the two keys, then walks their children's ids in pairs and
+        stops at the first difference: a leaf against a node, another
+        operation or another width.  Equal ids share their whole subtree, so
+        the walk skips them.
         """
         keys = self.keys
+        leaf = (None,)  # no operation and no children
+        if isinstance(a, int):
+            a = keys[~a] if a < 0 else leaf
+        if isinstance(b, int):
+            b = keys[~b] if b < 0 else leaf
         pairs = [(a, b)]
         while pairs:
-            a, b = pairs.pop()
-            if a == b:
-                continue
-            if a < 0 and b < 0:
-                ka, kb = keys[~a], keys[~b]
-                if ka[0] != kb[0] or len(ka) != len(kb):
-                    return False
-                pairs += zip(ka[1:], kb[1:])
-            elif a < 0 or b < 0:
+            ka, kb = pairs.pop()
+            if ka[0] != kb[0] or len(ka) != len(kb):
                 return False
+            for a, b in zip(ka[1:], kb[1:]):
+                if a == b:
+                    continue
+                if a < 0 and b < 0:
+                    pairs.append((keys[~a], keys[~b]))
+                elif a < 0 or b < 0:
+                    return False
         return True
 
     def _splits(self, n: int) -> tuple[list[tuple[tuple, tuple]], list[tuple[tuple, tuple]]]:
@@ -229,20 +254,23 @@ class _Store(dict):
             rights.append((r, s))
         return lefts, rights
 
-    def successors(self, n: int) -> list[int]:
-        """Ids of every single-interchange neighbour of node ``n``; entry
-        ``k`` is reached by the move ``move(n, k)``.
+    def neighbours(self, key: State, intern: bool = False) -> list:
+        """The state of every single-interchange neighbour of the state
+        ``key``, or with ``intern`` its node id; entry ``k`` is reached by
+        the move ``move(key, k)``.
 
-        The lists of ``n``'s descendants are memoized; ``n``'s own is not.
+        The lists of the state's subtrees are memoized as ids; its own is
+        not.  Interning as each key is made, rather than in a second pass,
+        keeps small searches, whose subtrees' lists outnumber their states'
+        two to one, as fast as when every state was interned.
         """
-        if n >= 0:
+        if isinstance(key, int):  # a one-leaf state
             return []
         index, keys, memo = self, self.keys, self.memo
-        key = keys[~n]
         op = key[0]
         opp = OPPOSITE[op]
         wide = len(key) > 3
-        out: list[int] = []
+        out: list[State] = []
         # moves on the children at key positions i and i+1; a child's
         # splits serve both its pairs
         b_splits = None
@@ -253,8 +281,9 @@ class _Store(dict):
                 head, tail = key[:i], key[i + 2 :]
                 for p, q in lefts:
                     for r, s in b_splits[1]:
-                        new = index[(opp, index[p + r], index[q + s])]
-                        out.append(index[head + (new,) + tail] if wide else new)
+                        pair = (opp, index[p + r], index[q + s])
+                        new = head + (index[pair],) + tail if wide else pair
+                        out.append(index[new] if intern else new)
             else:
                 b_splits = None
         # moves inside the child at key position j, placed in this node
@@ -264,23 +293,29 @@ class _Store(dict):
                 continue
             sub = memo[~child]
             if sub is None:
-                sub = memo[~child] = self.successors(child)
+                sub = memo[~child] = self.neighbours(keys[~child], True)
             if not sub:
                 continue
             head, tail = key[:j], key[j + 1 :]
             for c in sub:
                 ckey = keys[~c]
                 if ckey[0] == op:  # the child collapsed onto our operation
-                    out.append(index[head + ckey[1:] + tail])
+                    new = head + ckey[1:] + tail
                 else:
-                    out.append(index[head + (c,) + tail])
+                    new = head + (c,) + tail
+                out.append(index[new] if intern else new)
         return out
 
-    def move(self, n: int, k: int) -> Move:
-        """The move behind entry ``k`` of ``successors(n)``, which must have run,
-        read block by block off the keys and the children's memoized lists."""
+    def successors(self, n: int) -> list[int]:
+        """The ids of the neighbours of node ``n``, in ``neighbours`` order."""
+        return self.neighbours(self.keys[~n], True) if n < 0 else []
+
+    def move(self, key: State, k: int) -> Move:
+        """The move behind entry ``k`` of ``neighbours(key)``, which must have
+        run, read block by block off the keys and the children's memoized
+        lists."""
         keys = self.keys
-        kids = keys[~n][1:]
+        kids = key[1:]
         for i, (a, b) in enumerate(pairwise(kids)):
             if a < 0 and b < 0:
                 width = len(keys[~b]) - 2  # the splits of child i + 1
@@ -291,7 +326,7 @@ class _Store(dict):
         for j in reversed(range(len(kids))):
             size = len(self.memo[~kids[j]]) if kids[j] < 0 else 0
             if k < size:
-                path, *rest = self.move(kids[j], k)
+                path, *rest = self.move(keys[~kids[j]], k)
                 return ((j, *path), *rest)
             k -= size
         raise IndexError("move index out of range")
@@ -305,9 +340,9 @@ def _moves(tree: AltTree) -> list[Move]:
 def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
     """All single-interchange neighbours of an alternating tree."""
     store = _Store()
-    n = store.from_binary(tree)
-    for k, c in enumerate(store.successors(n)):
-        yield store.move(n, k), store.tree(c)
+    key = store.state(tree)
+    for k, c in enumerate(store.neighbours(key)):
+        yield store.move(key, k), store.tree(c)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +443,11 @@ class EquivalenceResult:
         return self.certificate is not None
 
 
-def _trace(store: _Store, search: Frontier, state: int) -> Chain:
+def _trace(store: _Store, search: Frontier, state: State) -> Chain:
     """Chain from the search's root to ``state``.  A state was discovered at
     its first place in its parent's successor list, so that place names the move."""
     return [
-        (store.tree(parent), store.move(parent, store.successors(parent).index(child)))
+        (store.tree(parent), store.move(parent, store.neighbours(parent).index(child)))
         for parent, child in pairwise(search.path(state))
     ]
 
@@ -442,11 +477,11 @@ def check_equivalence(
         raise ValueError("monomials must use the same arguments")
 
     store = _Store()
-    u1, u2 = store.from_binary(t1), store.from_binary(t2)
+    u1, u2 = store.state(t1), store.state(t2)
     if u1 == u2:
         return EquivalenceResult(_certificate(t1, [], t2, []), False, 0)
 
-    sides = (Frontier(store.successors, u1), Frontier(store.successors, u2))
+    sides = (Frontier(store.neighbours, u1), Frontier(store.neighbours, u2))
 
     def expanded() -> int:
         return sides[0].expanded + sides[1].expanded
@@ -550,11 +585,11 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
     and its frontier.  The labels are checked on the walk that interns t."""
     store = _Store()
     leaves: list[int] = []
-    root = store.from_binary(t, leaves)
+    root = store.state(t, leaves)
     _check_labels(leaves)
-    search = Frontier(store.successors, root)
+    search = Frontier(store.neighbours, root)
     exhausted = search.run(budget)
-    # an interned state other than the root is never the identity
+    # a state other than the root is never the identity
     found = ((store.tree(s), s) for s in search.parents if s != root and store.same_shape(s, root))
     witnesses = _witnesses(
         t, found, lambda state, target: _certificate(t, _trace(store, search, state), target, [])

@@ -147,10 +147,17 @@ def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
     # a partition file written in decimals
     half = tmp_path / "half.txt"
     half.write_text("0 0.5 0 1 1\n")
+    # a coordinate and a label that hold no number
+    letter = tmp_path / "letter.txt"
+    letter.write_text("0 1/2^x 0 1 1\n")
+    label = tmp_path / "label.txt"
+    label.write_text("0 1/2 0 1 1\n1/2 1 0 1 x\n")
     for src, message in (
         (dup, "duplicate block labels"),
         (typo, "unexpected end of input"),
         (half, "block areas sum to 1/2, not 1"),
+        (letter, "line 1, x2: coordinate '1/2^x' is not a number"),
+        (label, "line 2, label: 'x' is not an int or '-'"),
     ):
         assert main(["render", "--input", str(src)]) == USAGE
         captured = capsys.readouterr()

@@ -132,6 +132,17 @@ def test_store_successors_follow_moves_in_order():
     for t in trees:
         got = [store.tree(c) for c in store.successors(store.from_binary(right_comb(t)))]
         assert got == [apply_move(t, m) for m in _moves(t)]
+        # the search's view: the same trees, in the same order, as states
+        key = store.state(right_comb(t))
+        assert [store.tree(k) for k in store.neighbours(key)] == got
+
+
+def test_search_interns_fewer_nodes_than_it_has_states():
+    # a state is its root's key and is not interned; only subtrees are
+    scan, store, search = quotient._scan(KOCK16.lhs, 2000)
+    assert not scan.exhausted
+    assert len(store) == len(store.keys) < len(search.parents)
+    assert all(not is_leaf(s) and s not in store for s in search.parents)
 
 
 def test_same_shape_agrees_with_stripped_trees():
