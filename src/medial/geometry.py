@@ -84,27 +84,42 @@ class _NotANumber(ValueError):
     """A coordinate in which neither ``Fraction`` nor ``int`` reads a number."""
 
 
+def _quoted(field: str) -> str:
+    """A field as an error message quotes it: its first 20 characters and
+    ``...`` when it is longer."""
+    return repr(field) if len(field) <= 20 else repr(field[:20]) + "..."
+
+
 def parse_dyadic(text: str) -> Fraction:
     """A coordinate written ``a/2^b``, or in any form ``Fraction`` reads;
     ValueError naming the coordinate when it holds no number, when ``b`` is
     negative, above ``DYADIC_EXPONENT_LIMIT`` or followed by a second
-    ``/2^``, or when a denominator is zero."""
+    ``/2^``, or when a denominator is zero.  An exponent with more digits
+    than the limit, not counting leading zeros, is refused before it is
+    read as a number; an error quotes at most a prefix of the coordinate."""
     text = text.strip()
+    quoted = _quoted(text)
     num, *exps = text.split("/2^")
     if len(exps) > 1:
-        raise ValueError(f"coordinate {text!r} has more than one '/2^'")
+        raise ValueError(f"coordinate {quoted} has more than one '/2^'")
+    above = f"coordinate {quoted} has an exponent above {DYADIC_EXPONENT_LIMIT}"
+    exp_text = exps[0].strip() if exps else ""
+    if exp_text.isdecimal():  # read without its leading zeros
+        exp_text = exp_text.lstrip("0") or "0"
+        if len(exp_text) > len(str(DYADIC_EXPONENT_LIMIT)):
+            raise ValueError(above)
     try:
         if not exps:
             return Fraction(text)
-        num, exp = int(num), int(exps[0])
+        num, exp = int(num), int(exp_text)
     except ZeroDivisionError:
-        raise ValueError(f"coordinate {text!r} has a zero denominator") from None
+        raise ValueError(f"coordinate {quoted} has a zero denominator") from None
     except ValueError:
-        raise _NotANumber(f"coordinate {text!r} is not a number") from None
+        raise _NotANumber(f"coordinate {quoted} is not a number") from None
     if exp < 0:
-        raise ValueError(f"coordinate {text!r} has a negative exponent")
+        raise ValueError(f"coordinate {quoted} has a negative exponent")
     if exp > DYADIC_EXPONENT_LIMIT:
-        raise ValueError(f"coordinate {text!r} has an exponent above {DYADIC_EXPONENT_LIMIT}")
+        raise ValueError(above)
     return Fraction(num, 2**exp)
 
 
@@ -661,7 +676,9 @@ def parse_partition(text: str) -> BlockPartition:
         try:
             label = None if parts[4] == "-" else int(parts[4])
         except ValueError:
-            raise PartitionError(f"line {lineno}, label: {parts[4]!r} is not an int or '-'") from None
+            raise PartitionError(
+                f"line {lineno}, label: {_quoted(parts[4])} is not an int or '-'"
+            ) from None
         blocks.append(Block(*coords, label))
     return BlockPartition(tuple(blocks))
 

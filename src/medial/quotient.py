@@ -64,6 +64,26 @@ to a state is ``move(parent, neighbours(parent).index(state))``, because a
 state is discovered at its first place in its parent's list.  The states on
 that path become nested tuples again.
 
+Every relation ``medial verify`` proves is a pair (t, sigma(t)), one monomial
+and itself with its arguments permuted.  When ``check_equivalence``'s two
+sides have the same shape and t1's labels are distinct, sigma maps t1's labels
+to t2's position by position.  The moves read only the shape, so the second
+frontier is sigma applied to the first: its k-th expansion discovers the
+sigma-images of what the first side's k-th expansion discovered, in the same
+order.  ``_Mirror`` replays it so, and the kernel never runs on the second
+side.  The first side logs each expansion's discoveries; the second
+consumes the log as it goes and maps each state through a memoized map
+from node ids to the ids of their images, interned in the same store.  The
+second side never leads: ties go to the first, and mirrored sides have
+equal level sizes, so a run is always logged before it is replayed, and a
+missing run is a ``RewriteError``.  A result's chains are traced with the
+kernel (``_trace``) and rebuilt as binary rewrites (``expand_path``), so a
+wrong image raises instead of becoming a certificate; a negative rests on
+the first side's own expansion.  A pair with a repeated label, or of two
+shapes, runs the kernel on both sides.  On kock16 ``neighbours`` runs on
+25,411 states instead of 35,442: 10,031 of the check's 35,428 expansions
+are replayed, and the traced paths run the kernel as before.
+
 Outside the store a move has one meaning, the binary interchange it stands
 for: ``_interchange`` builds a binary representative in which the move is
 one interchange redex.  ``apply_move`` flattens the rewritten representative,
@@ -95,6 +115,7 @@ each monomial.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Sequence
@@ -120,7 +141,6 @@ from .trees import (
     Position,
     Tree,
     V,
-    arity,
     is_leaf,
     leaf_labels,
     opposite,
@@ -462,6 +482,48 @@ def _certificate(t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificat
     return cert
 
 
+class _Mirror(dict):
+    """The relabelling sigma on the states of one store, and the replay of a
+    search from ``sigma(root)`` off the discoveries of a search from ``root``;
+    see the module docstring.
+
+    Maps each operation to itself, each label to its image and, through
+    ``__missing__``, each node id to the id of its image, interned on
+    first use.  ``log`` holds the states the search from ``root``
+    discovered and the replay has not yet consumed, expansion by expansion,
+    each run ended by ``None``.  One flat deque, because a list per
+    expansion raised the traced peak of kock16's check by 1.06 MB, and the
+    flat log by 0.09 MB."""
+
+    __slots__ = ("store", "log")
+
+    def __init__(self, store: _Store, sigma: dict[int, int]) -> None:
+        super().__init__(sigma)
+        self.update({op: op for op in OPPOSITE})
+        self.store = store
+        self.log: deque[State | None] = deque()
+
+    def __missing__(self, n: int) -> int:
+        image = self[n] = self.store[tuple(map(self.__getitem__, self.store.keys[~n]))]
+        return image
+
+    def record(self, run: list[State]) -> None:
+        """Log one expansion's discoveries, ended by ``None``."""
+        self.log.extend(run)
+        self.log.append(None)
+
+    def replay(self, state: State) -> list[State]:
+        """The sigma-images of the oldest logged run; the expansion of ``state``
+        discovers them, since ``state`` is the sigma-image of the state whose
+        expansion logged that run."""
+        log, image, out = self.log, self.__getitem__, []
+        if not log:
+            raise RewriteError("the replayed side ran ahead of the side it mirrors")
+        while (key := log.popleft()) is not None:
+            out.append(tuple(map(image, key)))
+        return out
+
+
 def check_equivalence(
     t1: Tree, t2: Tree, budget: int = DEFAULT_BUDGET
 ) -> EquivalenceResult:
@@ -471,17 +533,24 @@ def check_equivalence(
     distinguishes a definitive negative (one side's class exhausted without
     meeting the other) from plain budget exhaustion.
     """
-    if arity(t1) != arity(t2):
-        raise ValueError("monomials must have equal arity")
-    if sorted(leaf_labels(t1)) != sorted(leaf_labels(t2)):
-        raise ValueError("monomials must use the same arguments")
-
     store = _Store()
-    u1, u2 = store.state(t1), store.state(t2)
+    leaves1: list[int] = []
+    leaves2: list[int] = []
+    u1, u2 = store.state(t1, leaves1), store.state(t2, leaves2)
+    if len(leaves1) != len(leaves2):
+        raise ValueError("monomials must have equal arity")
+    if sorted(leaves1) != sorted(leaves2):
+        raise ValueError("monomials must use the same arguments")
     if u1 == u2:
         return EquivalenceResult(_certificate(t1, [], t2, []), False, 0)
 
-    sides = (Frontier(store.neighbours, u1), Frontier(store.neighbours, u2))
+    mirror = None
+    if len(set(leaves1)) == len(leaves1) and store.same_shape(u1, u2):
+        mirror = _Mirror(store, dict(zip(leaves1, leaves2)))  # t2 is sigma(t1)
+    sides = (
+        Frontier(store.neighbours, u1),
+        Frontier(store.neighbours if mirror is None else mirror.replay, u2),
+    )
 
     def expanded() -> int:
         return sides[0].expanded + sides[1].expanded
@@ -492,7 +561,10 @@ def check_equivalence(
         for _ in range(len(mine.queue)):
             if expanded() >= budget:
                 return EquivalenceResult(None, False, expanded())
-            for nxt in mine.expand():
+            new = mine.expand()
+            if mirror is not None and not side:
+                mirror.record(new)
+            for nxt in new:
                 if nxt in other.parents:
                     fwd, bwd = (_trace(store, side, nxt) for side in sides)
                     cert = _certificate(t1, fwd, t2, bwd)

@@ -137,6 +137,25 @@ def test_render_refuses_a_malformed_exponent(tmp_path, capsys, coordinate, reaso
     assert captured.err == f"error: coordinate {coordinate!r} {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "coordinate, message",
+    [
+        ("1/2^" + "9" * 5000, "error: coordinate '1/2^9999999999999999'... has an exponent above 400"),
+        ("9" * 5000 + "/2^3", "error: line 1, x2: coordinate '99999999999999999999'... is not a number"),
+    ],
+    ids=["exponent", "numerator"],
+)
+def test_render_quotes_a_prefix_of_a_huge_coordinate(tmp_path, capsys, coordinate, message):
+    # more digits than int() reads by default: the exponent is refused by
+    # its digit count, and either error quotes only a prefix of the field
+    src = tmp_path / "huge.txt"
+    src.write_text(f"0 {coordinate} 0 1 1\n")
+    assert main(["render", "--input", str(src)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
     # an invalid partition file reports its own error, not a monomial one
     dup = tmp_path / "dup.txt"

@@ -17,6 +17,7 @@ from medial.assoc import (
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
 from medial.geometry import grid_partitions, representative
 from medial.quotient import (
+    EquivalenceResult,
     _moves,
     _Store,
     alt_successors,
@@ -33,6 +34,7 @@ from medial.rewrite import (
     DEFAULT_BUDGET,
     INTERCHANGE,
     INTERCHANGE_ONLY,
+    Frontier,
     RewriteError,
     certificate_from_path,
     closure,
@@ -346,6 +348,125 @@ def test_bm9_equivalence_and_certificate():
     res = check_equivalence(BM9.lhs, BM9.rhs)
     assert res.found
     assert replay_certificate(res.certificate)
+
+
+def _plain_check_equivalence(t1, t2, budget=DEFAULT_BUDGET):
+    """``check_equivalence`` with the kernel expanding both sides, as it was
+    before the second side of a pair (t, sigma(t)) replayed the first."""
+    store = _Store()
+    u1, u2 = store.state(t1), store.state(t2)
+    if u1 == u2:
+        return EquivalenceResult(quotient._certificate(t1, [], t2, []), False, 0)
+    sides = (Frontier(store.neighbours, u1), Frontier(store.neighbours, u2))
+
+    def expanded():
+        return sides[0].expanded + sides[1].expanded
+
+    while sides[0].queue and sides[1].queue:
+        side = 0 if len(sides[0].queue) <= len(sides[1].queue) else 1
+        mine, other = sides[side], sides[1 - side]
+        for _ in range(len(mine.queue)):
+            if expanded() >= budget:
+                return EquivalenceResult(None, False, expanded())
+            for nxt in mine.expand():
+                if nxt in other.parents:
+                    fwd, bwd = (quotient._trace(store, s, nxt) for s in sides)
+                    cert = quotient._certificate(t1, fwd, t2, bwd)
+                    return EquivalenceResult(cert, False, expanded())
+    return EquivalenceResult(None, True, expanded())
+
+
+def _assert_agrees_with_the_plain_search(t1, t2, budget):
+    got, want = check_equivalence(t1, t2, budget), _plain_check_equivalence(t1, t2, budget)
+    assert (got.found, got.proved_distinct, got.expanded) == (
+        want.found,
+        want.proved_distinct,
+        want.expanded,
+    )
+    if want.found:
+        assert got.certificate.dump() == want.certificate.dump()
+    return got
+
+
+class _CountingMirror(quotient._Mirror):
+    made = 0
+    replayed = 0
+
+    def __init__(self, store, sigma):
+        super().__init__(store, sigma)
+        _CountingMirror.made += 1
+
+    def replay(self, state):
+        _CountingMirror.replayed += 1
+        return super().replay(state)
+
+
+def _sigma_pairs():
+    """Pairs (t, sigma(t)) with distinct labels: seeded random shapes of arity
+    5 to 9 against a random sigma, mostly outside t's class, and arity-9 draws
+    against one of their commutations, inside it; sigma(t) is rebracketed."""
+    rng = random.Random(53)
+    pairs = [(rel.lhs, rel.rhs) for rel in (BM9, CONFIG_B, CASE2)]
+    for _ in range(30):
+        n = rng.randint(5, 9)
+        t = random_shape(n, rng)
+        images = list(range(1, n + 1))
+        while images == sorted(images):
+            rng.shuffle(images)
+        pairs.append((t, relabel(t, dict(zip(range(1, n + 1), images)))))
+    draws, scanned = tee(_arity9_draws(random.Random(54)))
+    with_witnesses = ((t, scan) for t, scan in zip(draws, scan_monomials(scanned)) if scan.witnesses)
+    for t, scan in islice(with_witnesses, 12):
+        perm = rng.choice(scan.witnesses).permutation
+        pairs.append((t, relabel(t, dict(enumerate(perm, 1)))))
+    return [(t, _random_bracketing(to_alternating(u), rng)) for t, u in pairs]
+
+
+def test_replayed_side_agrees_with_the_plain_search(monkeypatch):
+    # the oracle expands both sides with the kernel; the sigma side must
+    # discover the same states in the same order, so every count and every
+    # certificate byte is the same
+    monkeypatch.setattr(quotient, "_Mirror", _CountingMirror)
+    monkeypatch.setattr(_CountingMirror, "made", 0)
+    monkeypatch.setattr(_CountingMirror, "replayed", 0)
+    pairs = _sigma_pairs()
+    outcomes = set()
+    for budget in (DEFAULT_BUDGET, 1, 7, 50):
+        for t, u in pairs:
+            res = _assert_agrees_with_the_plain_search(t, u, budget)
+            outcomes.add((budget, res.found, res.proved_distinct))
+    assert _CountingMirror.made == 4 * len(pairs)
+    assert _CountingMirror.replayed > 0
+    # met, proved distinct and cut short by the budget all occur
+    assert {(DEFAULT_BUDGET, True, False), (DEFAULT_BUDGET, False, True)} <= outcomes
+    assert (7, False, False) in outcomes and (50, False, True) in outcomes
+
+
+def test_repeated_labels_take_the_plain_search(monkeypatch):
+    # with a repeated label, "the label at each position" is no map on
+    # labels, so the sigma side is searched with the kernel
+    def no_mirror(*args):
+        raise AssertionError("a repeated-label pair was replayed")
+
+    monkeypatch.setattr(quotient, "_Mirror", no_mirror)
+    merge = {2: 1}
+    pairs = [
+        (relabel(BM9.lhs, merge), relabel(BM9.rhs, merge)),
+        (relabel(CASE2.lhs, merge), relabel(CASE2.rhs, merge)),
+        (relabel(CONFIG_A.lhs, merge), relabel(CONFIG_A.lhs, {2: 1, 1: 3, 3: 1})),
+    ]
+    for t, u in pairs:
+        store = _Store()
+        assert t != u and store.same_shape(store.state(t), store.state(u))
+        for budget in (DEFAULT_BUDGET, 7):
+            _assert_agrees_with_the_plain_search(t, u, budget)
+    assert check_equivalence(*pairs[0]).found
+
+
+def test_replay_refuses_a_missing_run():
+    mirror = quotient._Mirror(_Store(), {1: 2, 2: 1})
+    with pytest.raises(RewriteError):
+        mirror.replay((H, 2, 1))
 
 
 def test_find_commutations_none_for_small_arity():
