@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
-from .assoc import AltTree, enumerate_alternating
+from .assoc import ALTERNATING_ARITY_LIMIT, AltTree, enumerate_alternating
 from .quotient import _Store, interchange_neighbours_exist
 from .rewrite import INTERCHANGE_ONLY, closure
 from .trees import (
@@ -145,7 +145,9 @@ def verify_fiber_equivalence(n: int) -> FiberEquivalenceReport:
 
 
 def count_summary(n: int) -> dict[str, int]:
-    """The counting rows reported by the command line tool."""
+    """The counting rows reported by the command line tool; ValueError
+    before any count when n is past the enumeration limit."""
+    check_arity(n, ALTERNATING_ARITY_LIMIT)
     rows = {
         "shapes": shape_count(n),
         "assoc_classes": sum(1 for _ in enumerate_alternating(n)),

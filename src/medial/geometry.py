@@ -6,8 +6,9 @@ all coordinates, and ``cells`` holds one ``(x1, x2, y1, y2, label)`` tuple
 per block, coordinates in units of ``1/den`` and the label an int or None,
 sorted by (x1, y1).  Everything medial builds is dyadic, so there ``den``
 is a power of two; a partition a caller builds may use any denominator.
-Midpoint tests compare doubled coordinates (``2 * x1 < a + b``), which
-keeps them in integers.
+One function bisects a window of cells, ``_halves``; its midpoint test
+compares doubled coordinates (``2 * x1 < a + b``), which keeps it in
+integers.  One function scales and moves cells, ``_placed``.
 
 Values go in and come out as ``fractions.Fraction``: ``Block``, ``Rect``
 and ``Cut`` carry Fractions, and ``BlockPartition.blocks`` converts the
@@ -84,10 +85,11 @@ class _NotANumber(ValueError):
     """A coordinate in which neither ``Fraction`` nor ``int`` reads a number."""
 
 
-def _quoted(field: str) -> str:
-    """A field as an error message quotes it: its first 20 characters and
-    ``...`` when it is longer."""
-    return repr(field) if len(field) <= 20 else repr(field[:20]) + "..."
+def _cut(text: str, show=str) -> str:
+    """A field or number as an error message writes it: ``show`` of its
+    first 20 characters, and ``...`` when it is longer.  Fields are quoted
+    with ``show=repr``."""
+    return show(text[:20]) + ("..." if len(text) > 20 else "")
 
 
 def parse_dyadic(text: str) -> Fraction:
@@ -98,7 +100,7 @@ def parse_dyadic(text: str) -> Fraction:
     than the limit, not counting leading zeros, is refused before it is
     read as a number; an error quotes at most a prefix of the coordinate."""
     text = text.strip()
-    quoted = _quoted(text)
+    quoted = _cut(text, repr)
     num, *exps = text.split("/2^")
     if len(exps) > 1:
         raise ValueError(f"coordinate {quoted} has more than one '/2^'")
@@ -136,6 +138,10 @@ class Block:
             raise PartitionError(f"degenerate block {self}")
         if not (ZERO <= self.x1 and self.x2 <= ONE and ZERO <= self.y1 and self.y2 <= ONE):
             raise PartitionError(f"block {self} leaves the unit square")
+
+    def __str__(self) -> str:
+        """The block as an error message shows it, every number cut by ``_cut``."""
+        return "Block(" + ", ".join(f"{k}={_cut(str(v))}" for k, v in vars(self).items()) + ")"
 
     @property
     def area(self) -> Fraction:
@@ -227,7 +233,7 @@ class BlockPartition:
 def _validate(den: int, cells: list[tuple]) -> None:
     total = sum((x2 - x1) * (y2 - y1) for x1, x2, y1, y2, _ in cells)
     if total != den * den:
-        raise PartitionError(f"block areas sum to {Fraction(total, den * den)}, not 1")
+        raise PartitionError(f"block areas sum to {_cut(str(Fraction(total, den * den)))}, not 1")
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             if a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]:
@@ -254,6 +260,15 @@ def _reduced(den: int, cells: list[tuple]) -> BlockPartition:
     return _trusted(den, cells)
 
 
+def _placed(cells, x0: int, y0: int, sx: int, sy: int) -> list[tuple]:
+    """The cells scaled by ``sx`` across and ``sy`` up, then moved to the
+    corner (x0, y0); labels kept."""
+    return [
+        (x0 + x1 * sx, x0 + x2 * sx, y0 + y1 * sy, y0 + y2 * sy, label)
+        for x1, x2, y1, y2, label in cells
+    ]
+
+
 def unit_square(label: int | None = 1) -> BlockPartition:
     return _trusted(1, [(0, 1, 0, 1, label)])
 
@@ -261,15 +276,13 @@ def unit_square(label: int | None = 1) -> BlockPartition:
 def _join(p: BlockPartition, q: BlockPartition, axis: str) -> BlockPartition:
     """p in the lower half along axis, q in the upper half (labels kept)."""
     den = 2 * math.lcm(p.den, q.den)
-    cells = []
-    for part, offset in ((p, 0), (q, den // 2)):
-        full = den // part.den
-        half = full // 2
-        for x1, x2, y1, y2, label in part.cells:
-            if axis == X_AXIS:
-                cells.append((offset + x1 * half, offset + x2 * half, y1 * full, y2 * full, label))
-            else:
-                cells.append((x1 * full, x2 * full, offset + y1 * half, offset + y2 * half, label))
+    # each part's cells scale by den over its own den, halved along the axis
+    kp = den // p.den
+    kq = den // q.den
+    if axis == X_AXIS:
+        cells = _placed(p.cells, 0, 0, kp // 2, kp) + _placed(q.cells, den // 2, 0, kq // 2, kq)
+    else:
+        cells = _placed(p.cells, 0, 0, kp, kp // 2) + _placed(q.cells, 0, den // 2, kq, kq // 2)
     return _reduced(den, cells)
 
 
@@ -332,22 +345,16 @@ def compose_partition(p: BlockPartition, i: int, q: BlockPartition) -> BlockPart
         target = labels.index(i)
     else:
         target = i - 1
+    rest = [
+        (*c[:4], c[4] + n - 1 if c[4] is not None and c[4] > i else c[4])
+        for c in p.cells[:target] + p.cells[target + 1 :]
+    ]
+    inner = [(*c[:4], None if c[4] is None else i + c[4] - 1) for c in q.cells]
     # everything goes over p.den * q.den: p's cells scale by q.den, and q's
     # by the target's size, offset to its corner
     k = q.den
     tx1, tx2, ty1, ty2, _ = p.cells[target]
-    width, height, ox, oy = tx2 - tx1, ty2 - ty1, tx1 * k, ty1 * k
-    out: list[tuple] = []
-    for index, (x1, x2, y1, y2, label) in enumerate(p.cells):
-        if index == target:
-            continue
-        if label is not None and label > i:
-            label += n - 1
-        out.append((x1 * k, x2 * k, y1 * k, y2 * k, label))
-    for x1, x2, y1, y2, label in q.cells:
-        if label is not None:
-            label = i + label - 1
-        out.append((ox + x1 * width, ox + x2 * width, oy + y1 * height, oy + y2 * height, label))
+    out = _placed(rest, 0, 0, k, k) + _placed(inner, tx1 * k, ty1 * k, tx2 - tx1, ty2 - ty1)
     return _reduced(p.den * k, out)
 
 
@@ -372,23 +379,19 @@ def bisect(p: BlockPartition, ordinal: int, axis: str) -> BlockPartition:
     unlabeled."""
     if not 1 <= ordinal <= len(p):
         raise IndexError(f"ordinal {ordinal} out of range 1..{len(p)}")
-    den = p.den
-    rest = list(p.cells)
-    x1, x2, y1, y2, _ = rest.pop(ordinal - 1)
+    x1, x2, y1, y2, _ = p.cells[ordinal - 1]
     twice_mid = x1 + x2 if axis == X_AXIS else y1 + y2
-    if twice_mid % 2:
-        # The midpoint is off the grid: refine it.  Its coordinate is then
-        # odd, so the new grid is still in lowest terms.
-        den *= 2
-        rest = [(a * 2, b * 2, c * 2, d * 2, label) for a, b, c, d, label in rest]
-        x1, x2, y1, y2, mid = x1 * 2, x2 * 2, y1 * 2, y2 * 2, twice_mid
-    else:
-        mid = twice_mid // 2
+    # When the midpoint is off the grid, refine it (k = 2).  Its coordinate
+    # is then odd, so the new grid is still in lowest terms.
+    k = 1 + twice_mid % 2
+    rest = _placed(p.cells, 0, 0, k, k)
+    x1, x2, y1, y2, _ = rest.pop(ordinal - 1)
+    mid = twice_mid * k // 2
     if axis == X_AXIS:
         rest += [(x1, mid, y1, y2, None), (mid, x2, y1, y2, None)]
     else:
         rest += [(x1, x2, y1, mid, None), (x1, x2, mid, y2, None)]
-    return _trusted(den, rest)
+    return _trusted(p.den * k, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +423,14 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
     )
 
 
-def _on_grid(p: BlockPartition, r: Rect) -> tuple[int, tuple, tuple[int, int, int, int]]:
+def _on_grid(p: BlockPartition, r: Rect) -> tuple[int, Sequence[tuple], tuple[int, int, int, int]]:
     """A common denominator for p and r, p's cells over it, and r's corners."""
     if r is UNIT_RECT:
         return p.den, p.cells, (0, p.den, 0, p.den)
     corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
     den = math.lcm(p.den, *(c.denominator for c in corners))
     k = den // p.den
-    cells = tuple((x1 * k, x2 * k, y1 * k, y2 * k, label) for x1, x2, y1, y2, label in p.cells)
+    cells = _placed(p.cells, 0, 0, k, k)
     return den, cells, tuple(int(c * den) for c in corners)
 
 
@@ -440,20 +443,31 @@ def _inside(cells, window: tuple[int, int, int, int]) -> list[tuple] | None:
     return inside
 
 
-def _main_cuts(cells, window: tuple[int, int, int, int]) -> frozenset[str]:
-    """Which bisections of a window no cell straddles, for cells that fill it.
+def _halves(window: tuple[int, int, int, int], cells, orientation: str) -> tuple | None:
+    """The two halves of a window of cells that fill it, across its
+    bisection in ``orientation``: west or south first, each ``(window,
+    cells within it)``.  None when a cell straddles the bisection.
 
     A bisection found lies on the grid ((x1 + x2) or (y1 + y2) is even):
     the cell that covers a point halfway between grid lines straddles it.
     """
-    x1, x2, y1, y2 = window
-    twice_x, twice_y = x1 + x2, y1 + y2
-    out = set()
-    if not any(2 * c[0] < twice_x < 2 * c[1] for c in cells):
-        out.add(VERTICAL)
-    if not any(2 * c[2] < twice_y < 2 * c[3] for c in cells):
-        out.add(HORIZONTAL)
-    return frozenset(out)
+    # window and cell indices of the start and end across the bisection
+    lo, hi = (0, 1) if orientation == VERTICAL else (2, 3)
+    twice_mid = window[lo] + window[hi]
+    for c in cells:  # a plain loop: any() over a generator costs a fifth more here
+        if 2 * c[lo] < twice_mid < 2 * c[hi]:
+            return None
+    mid = twice_mid // 2
+    # no cell straddles mid, so the cells within each half fill it
+    return (
+        (window[:hi] + (mid,) + window[hi + 1 :], [c for c in cells if c[hi] <= mid]),
+        (window[:lo] + (mid,) + window[lo + 1 :], [c for c in cells if c[lo] >= mid]),
+    )
+
+
+def _main_cuts(cells, window: tuple[int, int, int, int]) -> frozenset[str]:
+    """Which bisections of a window no cell straddles, for cells that fill it."""
+    return frozenset(o for o in (VERTICAL, HORIZONTAL) if _halves(window, cells, o) is not None)
 
 
 def is_subrectangle(p: BlockPartition, r: Rect) -> int | None:
@@ -491,30 +505,17 @@ def primary_cuts_and_slices(
         raise ValueError("orientation must be 'horizontal' or 'vertical'")
     den, window, inside = _subrectangle(p, r)
 
-    def collect(w: tuple[int, int, int, int], cells: list) -> list[int]:
-        if orientation not in _main_cuts(cells, w):
-            return []
-        x1, x2, y1, y2 = w
-        if orientation == HORIZONTAL:
-            mid = (y1 + y2) // 2
-            lo, hi = (x1, x2, y1, mid), (x1, x2, mid, y2)
-        else:
-            mid = (x1 + x2) // 2
-            lo, hi = (x1, mid, y1, y2), (mid, x2, y1, y2)
-        # no cell straddles mid, so the cells within each half fill it
-        return collect(lo, _inside(cells, lo)) + [mid] + collect(hi, _inside(cells, hi))
+    def slices(w: tuple[int, int, int, int], cells: list) -> list[tuple[int, int, int, int]]:
+        halves = _halves(w, cells, orientation)
+        return [w] if halves is None else [s for half in halves for s in slices(*half)]
 
-    marks = collect(window, inside)
-    if not marks:
+    windows = slices(window, inside)
+    if len(windows) == 1:
         raise PartitionError(f"no {orientation} main cut in {r}")
-    x1, x2, y1, y2 = window
-    if orientation == HORIZONTAL:
-        bounds = (y1, *marks, y2)
-        slices = [(x1, x2, bounds[j], bounds[j + 1]) for j in range(len(bounds) - 1)]
-    else:
-        bounds = (x1, *marks, x2)
-        slices = [(bounds[j], bounds[j + 1], y1, y2) for j in range(len(bounds) - 1)]
-    return tuple(Fraction(m, den) for m in marks), tuple(_rect(den, s) for s in slices)
+    # a primary cut is the east or north side of every slice but the last
+    side = 1 if orientation == VERTICAL else 3
+    marks = tuple(Fraction(w[side], den) for w in windows[:-1])
+    return marks, tuple(_rect(den, w) for w in windows)
 
 
 INTERIOR = "interior"
@@ -549,30 +550,21 @@ def boundary_order(p: BlockPartition) -> tuple[tuple[int, ...], ...]:
 # Tree preimages
 # ---------------------------------------------------------------------------
 
-def _splits(den: int, window: tuple[int, int, int, int], cells: tuple) -> Iterator[tuple]:
+def _splits(den: int, window: tuple[int, int, int, int], cells: Sequence[tuple]) -> Iterator[tuple]:
     """The main-cut splits of a window of cells that fill it, in the order
     the fiber lists them: the vertical bisection, an h node of the west and
     east halves, then the horizontal one, a v node of the south and north
-    halves.  Each split is ``(op, (window, cells), (window, cells))``.
+    halves.  Each split is ``(op, (window, cells), (window, cells))``; the
+    horizontal bisection is tried only when a second split is asked for.
     NotDyadicError when the window has neither."""
-    found = _main_cuts(cells, window)
-    if not found:
+    west_east = _halves(window, cells, VERTICAL)
+    if west_east is not None:
+        yield (trees.H, *west_east)
+    south_north = _halves(window, cells, HORIZONTAL)
+    if south_north is not None:
+        yield (trees.V, *south_north)
+    elif west_east is None:
         raise NotDyadicError(f"window {_rect(den, window)} admits no main cut")
-    x1, x2, y1, y2 = window
-    if VERTICAL in found:
-        mid = (x1 + x2) // 2
-        yield (
-            trees.H,
-            ((x1, mid, y1, y2), tuple(c for c in cells if c[1] <= mid)),
-            ((mid, x2, y1, y2), tuple(c for c in cells if c[0] >= mid)),
-        )
-    if HORIZONTAL in found:
-        mid = (y1 + y2) // 2
-        yield (
-            trees.V,
-            ((x1, x2, y1, mid), tuple(c for c in cells if c[3] <= mid)),
-            ((x1, x2, mid, y2), tuple(c for c in cells if c[2] >= mid)),
-        )
 
 
 def fiber(p: BlockPartition) -> tuple[Tree, ...]:
@@ -585,7 +577,7 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     if None in p.labels():
         p = p.with_lex_labels()
 
-    def go(window: tuple[int, int, int, int], cells: tuple) -> tuple[Tree, ...]:
+    def go(window: tuple[int, int, int, int], cells: Sequence[tuple]) -> tuple[Tree, ...]:
         if len(cells) == 1:
             return (cells[0][4],)
         return tuple(
@@ -602,7 +594,7 @@ def representative(p: BlockPartition) -> Tree:
     if None in p.labels():
         p = p.with_lex_labels()
 
-    def go(window: tuple[int, int, int, int], cells: tuple) -> Tree:
+    def go(window: tuple[int, int, int, int], cells: Sequence[tuple]) -> Tree:
         if len(cells) == 1:
             return cells[0][4]
         op, lo, hi = next(_splits(p.den, window, cells))
@@ -677,7 +669,7 @@ def parse_partition(text: str) -> BlockPartition:
             label = None if parts[4] == "-" else int(parts[4])
         except ValueError:
             raise PartitionError(
-                f"line {lineno}, label: {_quoted(parts[4])} is not an int or '-'"
+                f"line {lineno}, label: {_cut(parts[4], repr)} is not an int or '-'"
             ) from None
         blocks.append(Block(*coords, label))
     return BlockPartition(tuple(blocks))

@@ -4,25 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import BlockPartition, dyadic_level, is_dyadic_fraction
+from .geometry import BlockPartition, is_dyadic_fraction
 
 SVG_SIZE = 480
 SVG_MARGIN = 10
 # The ASCII grid has (2 den + 1) x (4 den + 1) cells: about 100 MB at 1024,
 # and 16 times as much for every two further halvings.
 ASCII_MAX_DEN = 1024
-
-
-def _decimal(value: Fraction) -> str:
-    """Exact finite decimal for a dyadic rational (denominators are 2^k)."""
-    num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    k = dyadic_level(value)
-    digits = num * 5**k  # num/2^k == num*5^k / 10^k
-    text = str(digits).rjust(k + 1, "0")
-    whole, frac = text[:-k], text[-k:]
-    return f"{whole}.{frac}".rstrip("0").rstrip(".")
 
 
 def _require_dyadic(p: BlockPartition) -> None:
@@ -39,33 +27,35 @@ def partition_svg(p: BlockPartition) -> str:
     Raises ValueError when coordinates are not dyadic.
     """
     _require_dyadic(p)
+    den = p.den
     span = SVG_SIZE - 2 * SVG_MARGIN
+    # a half step of the grid is span / 2^e pixels, so every pixel value is
+    # a decimal with at most e digits after the point
+    e = (2 * den).bit_length() - 1
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
 
-    def sx(x: Fraction) -> str:
-        return _decimal(SVG_MARGIN + x * span)
+    def pixels(units: int, margin: int = SVG_MARGIN) -> str:
+        """``margin`` plus ``units`` half steps of the grid, in pixels, as
+        the shortest exact decimal; y counts down from the north side."""
+        whole, frac = divmod((2 * den * margin + units * span) * 5**e, 10**e)
+        return f"{whole}.{frac:0{e}d}".rstrip("0").rstrip(".")
 
-    def sy(y: Fraction) -> str:
-        return _decimal(SVG_MARGIN + (1 - y) * span)
-
-    for b in p.blocks:
-        width = _decimal((b.x2 - b.x1) * span)
-        height = _decimal((b.y2 - b.y1) * span)
+    for x1, x2, y1, y2, _ in p.cells:
         out.append(
-            f'<rect x="{sx(b.x1)}" y="{sy(b.y2)}" width="{width}" height="{height}" '
+            f'<rect x="{pixels(2 * x1)}" y="{pixels(2 * (den - y2))}" '
+            f'width="{pixels(2 * (x2 - x1), 0)}" height="{pixels(2 * (y2 - y1), 0)}" '
             f'fill="white" stroke="black" stroke-width="2"/>'
         )
-    for b in p.blocks:
-        if b.label is None:
+    for x1, x2, y1, y2, label in p.cells:
+        if label is None:
             continue
-        cx = _decimal(SVG_MARGIN + (b.x1 + b.x2) / 2 * span)
-        cy = _decimal(SVG_MARGIN + (1 - (b.y1 + b.y2) / 2) * span)
         out.append(
-            f'<text x="{cx}" y="{cy}" font-family="monospace" font-size="18" '
-            f'text-anchor="middle" dominant-baseline="middle">{b.label}</text>'
+            f'<text x="{pixels(x1 + x2)}" y="{pixels(2 * den - y1 - y2)}" '
+            f'font-family="monospace" font-size="18" text-anchor="middle" '
+            f'dominant-baseline="middle">{label}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -78,45 +68,37 @@ def partition_ascii(p: BlockPartition) -> str:
     ``1/ASCII_MAX_DEN``, or when a label is wider than its block's inside.
     """
     _require_dyadic(p)
-    if p.den > ASCII_MAX_DEN:
+    den = p.den
+    if den > ASCII_MAX_DEN:
         raise ValueError(
-            f"partition over denominator {p.den} is too fine to draw as text "
+            f"partition over denominator {den} is too fine to draw as text "
             f"(at most {ASCII_MAX_DEN}); use --format svg"
         )
-    resolution = p.den
-    cols = 4 * resolution
-    rows = 2 * resolution
-    width, height = cols + 1, rows + 1
-    grid = [[" "] * width for _ in range(height)]
-
-    def col(x: Fraction) -> int:
-        return int(x * cols)
-
-    def row(y: Fraction) -> int:
-        return int((1 - y) * rows)
-
-    for b in p.blocks:
-        c1, c2 = col(b.x1), col(b.x2)
-        r1, r2 = row(b.y2), row(b.y1)
+    grid = [[" "] * (4 * den + 1) for _ in range(2 * den + 1)]
+    # a grid unit is four columns wide and two rows high: a cell's columns
+    # run from c1 to c2 and its rows from r1 (north) to r2 (south)
+    frames = [
+        (4 * x1, 4 * x2, 2 * (den - y2), 2 * (den - y1), label)
+        for x1, x2, y1, y2, label in p.cells
+    ]
+    for c1, c2, r1, r2, _ in frames:
         for c in range(c1, c2 + 1):
             grid[r1][c] = "-"
             grid[r2][c] = "-"
         for r in range(r1, r2 + 1):
             grid[r][c1] = "|"
             grid[r][c2] = "|"
-    # corners last so edges of neighbouring blocks cannot overpaint them
-    for b in p.blocks:
-        c1, c2 = col(b.x1), col(b.x2)
-        r1, r2 = row(b.y2), row(b.y1)
+    # corners and labels last so edges of neighbouring blocks cannot
+    # overpaint them; a label lies inside its block, clear of every corner
+    for c1, c2, r1, r2, label in frames:
         for r, c in ((r1, c1), (r1, c2), (r2, c1), (r2, c2)):
             grid[r][c] = "+"
-    for b in p.blocks:
-        if b.label is None:
+        if label is None:
             continue
-        text = str(b.label)
-        r = (row(b.y2) + row(b.y1)) // 2
-        c = (col(b.x1) + col(b.x2)) // 2 - len(text) // 2
-        if c <= col(b.x1) or c + len(text) > col(b.x2):
+        text = str(label)
+        r = (r1 + r2) // 2
+        c = (c1 + c2) // 2 - len(text) // 2
+        if c <= c1 or c + len(text) > c2:
             raise ValueError(f"label {text} is too wide to draw as text; use --format svg")
         for k, ch in enumerate(text):
             grid[r][c + k] = ch

@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from medial import geometry
+from medial import catalog, cli, counts, geometry
 from medial.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
+from medial.quotient import CommutationScan, EquivalenceResult, find_commutations
+from medial.rewrite import Certificate
+from medial.trees import relabel
 
 
 def test_count_pass(capsys):
@@ -24,6 +29,18 @@ def test_count_arity_two(capsys):
 
 def test_count_limit_error(capsys):
     assert main(["count", "--arity", "99"]) == USAGE
+
+
+def test_count_checks_the_arity_before_counting(monkeypatch, capsys):
+    # the shape count of a huge arity grows without bound: it must not start
+    def refuse(n):
+        raise AssertionError(f"shape_count({n}) ran before the arity check")
+
+    monkeypatch.setattr(counts, "shape_count", refuse)
+    assert main(["count", "--arity", "13"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arity 13 exceeds the enumeration limit 12\n"
 
 
 def test_verify_bm9(capsys):
@@ -182,6 +199,46 @@ def test_render_reports_partition_and_monomial_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+_THIRDS = 10**3000 // 3  # 3,000 threes
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "0 1/" + "3" * 4000 + " 0 1 1\n",
+            "block areas sum to 1/333333333333333333..., not 1",
+        ),
+        (
+            f"1/{_THIRDS} 1/{_THIRDS} 0 1 1\n",
+            "degenerate block Block(x1=1/333333333333333333..., x2=1/333333333333333333..., "
+            "y1=0, y2=1, label=1)",
+        ),
+        (
+            f"-1/{_THIRDS} 1 0 1 1\n",
+            "block Block(x1=-1/33333333333333333..., x2=1, y1=0, y2=1, label=1) "
+            "leaves the unit square",
+        ),
+        (
+            # the second block overlaps the first by 1/_THIRDS and leaves as
+            # much uncovered at the top, so the areas sum to 1
+            "0 1 0 1/2 1\n"
+            f"0 1 {Fraction(1, 2) - Fraction(1, _THIRDS)} {1 - Fraction(1, _THIRDS)} 2\n",
+            "blocks overlap: Block(x1=0, x2=1, y1=0, y2=1/2, label=1) / "
+            "Block(x1=0, x2=1, y1=33333333333333333333..., y2=33333333333333333333..., label=2)",
+        ),
+    ],
+    ids=["area", "degenerate", "outside", "overlap"],
+)
+def test_render_cuts_the_numbers_of_a_validation_error(text, message, tmp_path, capsys):
+    src = tmp_path / "huge.txt"
+    src.write_text(text)
+    assert main(["render", "--input", str(src)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -343,6 +400,21 @@ def test_search_usage_errors(argv, message, capsys):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["render"], "error: provide --monomial or --input"),
+        (["search", "--arity", "4", "--rules", "assoc,nonsense"], "unknown rule family 'nonsense'"),
+    ],
+    ids=["render-without-input", "unknown-rule-family"],
+)
+def test_missing_input_and_unknown_rules_are_usage_errors(argv, message, capsys):
+    assert main(argv) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_search_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["search", "--arity", "5", "--out", str(a)]) == PASS
@@ -354,6 +426,151 @@ def test_verify_inconclusive_on_tiny_budget():
     from medial.cli import INCONCLUSIVE
 
     assert main(["verify", "bm9", "--budget", "1"]) == INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "target, lines",
+    [
+        (
+            "seven-block-negative",
+            [f"INCONCLUSIVE seven-block-{k}: budget exhausted" for k in (1, 2, 3)],
+        ),
+        ("case1-negative", ["INCONCLUSIVE case1-negative: budget exhausted"]),
+        (
+            "configC-negative",
+            ["INCONCLUSIVE configC-negative: budget exhausted before the closure completed"],
+        ),
+        (
+            "configA",
+            [
+                "  replay ok: 54 steps, 20 interchange applications",
+                "INCONCLUSIVE configA: search budget exhausted before a proof",
+            ],
+        ),
+        (
+            "kock16",
+            [
+                "  replay ok: 50 steps, 14 interchange applications",
+                "INCONCLUSIVE kock16: search budget exhausted before a proof",
+            ],
+        ),
+    ],
+)
+def test_verify_budget_one_is_inconclusive(target, lines, capsys):
+    assert main(["verify", target, "--budget", "1"]) == INCONCLUSIVE
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def _scan(witnesses=(), exhausted=True, class_size=0):
+    return CommutationScan(tuple(witnesses), exhausted, 0, class_size)
+
+
+def _config_c_scan(*args, **kwargs):
+    """configC's scan, which holds a commutation witness, for any monomial."""
+    return find_commutations(catalog.CONFIG_C.monomial)
+
+
+def _corrupt_certificate(how):
+    """A ``catalog.load_certificate`` whose certificates are changed by ``how``."""
+    load = catalog.load_certificate
+    return lambda name: how(load(name))
+
+
+@pytest.mark.parametrize(
+    "target, patch, status, last",
+    [
+        (
+            "bm9",
+            (catalog, "load_certificate", _corrupt_certificate(Certificate.inverted)),
+            FAIL,
+            "FAIL bm9: bundled certificate does not state the relation",
+        ),
+        (
+            "bm9",
+            (
+                catalog,
+                "load_certificate",
+                _corrupt_certificate(lambda c: dataclasses.replace(c, steps=c.steps[:-1])),
+            ),
+            FAIL,
+            "FAIL bm9: certificate replay failed: final tree is ",
+        ),
+        (
+            "bm9",
+            (cli, "check_equivalence", lambda *a, **k: EquivalenceResult(None, True, 1)),
+            FAIL,
+            "FAIL bm9: independent search proved the sides distinct",
+        ),
+        (
+            "configA",
+            (cli, "find_commutations", lambda *a, **k: _scan(exhausted=False)),
+            INCONCLUSIVE,
+            "INCONCLUSIVE configA: commutation scan ran out of budget",
+        ),
+        (
+            "configA",
+            (cli, "find_commutations", lambda *a, **k: _scan()),
+            FAIL,
+            "FAIL configA: commutation scan did not rediscover the transposition",
+        ),
+        (
+            "configC-negative",
+            (cli, "find_commutations", lambda *a, **k: _scan(class_size=692)),
+            PASS,
+            "PASS configC-negative (closure exhausted, 692 classes, no commutation)",
+        ),
+        (
+            "seven-block-negative",
+            (cli, "find_commutations", _config_c_scan),
+            FAIL,
+            "FAIL seven-block-3: commutation witnesses exist",
+        ),
+        (
+            "case1-negative",
+            (cli, "find_commutations", lambda *a, **k: _scan(exhausted=False)),
+            FAIL,
+            "FAIL case1-negative: unexpected commutation witnesses",
+        ),
+    ],
+    ids=[
+        "inverted-certificate",
+        "truncated-certificate",
+        "proved-distinct",
+        "scan-out-of-budget",
+        "scan-misses-transposition",
+        "negative-scan-passes",
+        "seven-block-witnesses",
+        "case1-witnesses",
+    ],
+)
+def test_verify_fail_branches(target, patch, status, last, monkeypatch, capsys):
+    # each case replaces one function the check calls, to reach one branch
+    monkeypatch.setattr(*patch)
+    assert main(["verify", target]) == status
+    assert capsys.readouterr().out.splitlines()[-1].startswith(last)
+
+
+def test_verify_seven_block_checks_the_first_closure_size(monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "SEVEN_BLOCK_FIRST_CLOSURE_SIZE", 5)
+    assert main(["verify", "seven-block-negative"]) == FAIL
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL seven-block-1: closure size 4, expected 5"
+    assert [line.split(" (")[0] for line in out[1:]] == ["PASS seven-block-2", "PASS seven-block-3"]
+
+
+def test_verify_case1_fails_on_a_member_that_permutes_the_tracked_blocks(monkeypatch, capsys):
+    # a closure that also holds case1 with d and e swapped
+    closure = cli.closure
+    d, e = catalog.CASE1.names["d"], catalog.CASE1.names["e"]
+    swapped = relabel(catalog.CASE1.monomial, {d: e, e: d})
+
+    def with_swapped(t, **kwargs):
+        result = closure(t, **kwargs)
+        return dataclasses.replace(result, members=result.members | {swapped})
+
+    monkeypatch.setattr(cli, "closure", with_swapped)
+    assert main(["verify", "case1-negative"]) == FAIL
+    assert capsys.readouterr().out == "FAIL case1-negative: member permutes the tracked blocks\n"
 
 
 def test_search_rule_restriction(capsys):

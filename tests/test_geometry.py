@@ -223,6 +223,32 @@ def test_primary_cuts_and_slices():
         primary_cuts_and_slices(realize((H, 1, 2)), UNIT_RECT, HORIZONTAL)
 
 
+def test_primary_cuts_are_the_full_length_cuts():
+    # oracle: the marks are the cuts that run the whole side of the square
+    pairs = 0
+    for p in (p for n in range(1, 7) for p in enumerate_partitions(n)):
+        full = {(c.orientation, c.coordinate) for c in cuts(p) if (c.lo, c.hi) == (0, 1)}
+        for orientation in (HORIZONTAL, VERTICAL):
+            pairs += 1
+            lines = sorted(x for o, x in full if o == orientation)
+            if orientation not in main_cuts(p):
+                assert lines == []
+                with pytest.raises(PartitionError):
+                    primary_cuts_and_slices(p, UNIT_RECT, orientation)
+                continue
+            marks, slices = primary_cuts_and_slices(p, UNIT_RECT, orientation)
+            assert list(marks) == lines
+            # the slices tile the square in order, one between each two marks
+            bounds = (0, *marks, 1)
+            for s, lo, hi in zip(slices, bounds, bounds[1:]):
+                if orientation == VERTICAL:
+                    assert s == Rect(F(lo), F(hi), F(0), F(1))
+                else:
+                    assert s == Rect(F(0), F(1), F(lo), F(hi))
+            assert len(slices) == len(bounds) - 1
+    assert pairs == 2988
+
+
 def test_classify_blocks():
     assert set(classify_blocks(GRID).values()) == {BORDER}
     # nested partition with one block clear of all four sides
