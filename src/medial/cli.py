@@ -50,9 +50,10 @@ def _emit(text: str, out: str | None) -> int:
 def cmd_count(args) -> int:
     n = args.arity
     try:
+        # the graph's limit is the lower one: check it before counting
+        graph = counts.interchange_graph(n) if args.graph_out else None
         rows = counts.count_summary(n)
-        if args.graph_out:
-            graph = counts.interchange_graph(n)
+        if graph is not None:
             lines = [f"vertices {len(graph.vertices)}"]
             lines += [f"{i} {j}" for i, j in sorted(graph.edges)]
             Path(args.graph_out).write_text("\n".join(lines) + "\n")
@@ -165,8 +166,8 @@ def _verify_case1(budget: int) -> int:
         return INCONCLUSIVE
 
     def order(t) -> tuple[int, ...]:
-        # cells are sorted by (x1, y1), so the tracked labels come west to east
-        return tuple(c[4] for c in geometry.realize(t).cells if c[4] in tracked)
+        # blocks are sorted by (x1, y1), so the tracked labels come west to east
+        return tuple(k for k in geometry.realize(t).labels() if k in tracked)
 
     want = order(cfg.monomial)
     for member in result.members:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
-from .assoc import ALTERNATING_ARITY_LIMIT, AltTree, enumerate_alternating
+from .assoc import ALTERNATING_ARITY_LIMIT, AltTree, enumerate_alternating, right_comb
 from .quotient import _Store, interchange_neighbours_exist
 from .rewrite import INTERCHANGE_ONLY, closure
 from .trees import (
@@ -55,7 +55,7 @@ def interchange_graph(n: int) -> InterchangeGraph:
     check_arity(n, GRAPH_ARITY_LIMIT, "graph")
     vertices = tuple(strip_labels(a) for a in enumerate_alternating(n))
     store = _Store()  # the unlabelled vertices share their subtrees' moves
-    index = {store.from_binary(v): i for i, v in enumerate(vertices)}
+    index = {store.from_binary(right_comb(v)): i for i, v in enumerate(vertices)}
     edges: set[tuple[int, int]] = set()
     for u, i in index.items():
         for w in store.successors(u):

@@ -10,9 +10,10 @@ One function bisects a window of cells, ``_halves``; its midpoint test
 compares doubled coordinates (``2 * x1 < a + b``), which keeps it in
 integers.  One function scales and moves cells, ``_placed``.
 
-Values go in and come out as ``fractions.Fraction``: ``Block``, ``Rect``
-and ``Cut`` carry Fractions, and ``BlockPartition.blocks`` converts the
-cells on first use.
+Values go in and come out as ``fractions.Fraction``: ``Rect``, the one box
+type (a ``Block`` is a ``Rect`` with a label), and ``Cut`` carry Fractions,
+and ``BlockPartition.blocks`` converts the cells on first use.  An error
+prints every box it names through ``Rect.__str__``, each number cut short.
 
 The area, overlap and duplicate-label checks run where input comes in:
 ``BlockPartition(blocks)`` and ``parse_partition``.  ``realize``,
@@ -125,12 +126,25 @@ def parse_dyadic(text: str) -> Fraction:
     return Fraction(num, 2**exp)
 
 
-@dataclass(frozen=True, order=True)
-class Block:
+@dataclass(frozen=True)
+class Rect:
+    """A box of the square: any subwindow, unlabelled and unchecked."""
+
     x1: Fraction
     x2: Fraction
     y1: Fraction
     y2: Fraction
+
+    def __str__(self) -> str:
+        """The box as an error message shows it, every number cut by ``_cut``."""
+        fields = ", ".join(f"{k}={_cut(str(v))}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+@dataclass(frozen=True, order=True)
+class Block(Rect):
+    """A labelled ``Rect`` inside the unit square; never equal to a ``Rect``."""
+
     label: int | None = None
 
     def __post_init__(self):
@@ -139,23 +153,9 @@ class Block:
         if not (ZERO <= self.x1 and self.x2 <= ONE and ZERO <= self.y1 and self.y2 <= ONE):
             raise PartitionError(f"block {self} leaves the unit square")
 
-    def __str__(self) -> str:
-        """The block as an error message shows it, every number cut by ``_cut``."""
-        return "Block(" + ", ".join(f"{k}={_cut(str(v))}" for k, v in vars(self).items()) + ")"
-
     @property
     def area(self) -> Fraction:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Query rectangle (no label, may be any subwindow of the square)."""
-
-    x1: Fraction
-    x2: Fraction
-    y1: Fraction
-    y2: Fraction
 
 
 UNIT_RECT = Rect(ZERO, ONE, ZERO, ONE)
@@ -169,17 +169,16 @@ class Cut:
     hi: Fraction
 
 
-# A cell is a block on the integer grid: (x1, x2, y1, y2, label).
+# A cell is a block on the integer grid: (x1, x2, y1, y2, label); a window
+# is a box on it: (x1, x2, y1, y2).
 _corner = itemgetter(0, 2)
+_Window = tuple[int, int, int, int]
 
 
-def _block(den: int, cell: tuple) -> Block:
-    x1, x2, y1, y2, label = cell
-    return Block(Fraction(x1, den), Fraction(x2, den), Fraction(y1, den), Fraction(y2, den), label)
-
-
-def _rect(den: int, window: tuple[int, int, int, int]) -> Rect:
-    return Rect(*(Fraction(c, den) for c in window))
+def _box(den: int, cell: tuple) -> Rect:
+    """A window ``(x1, x2, y1, y2)`` over ``den`` as a ``Rect``, or a cell,
+    which adds its label, as a ``Block``."""
+    return (Block if len(cell) == 5 else Rect)(*(Fraction(c, den) for c in cell[:4]), *cell[4:])
 
 
 @dataclass(frozen=True, init=False)
@@ -209,7 +208,7 @@ class BlockPartition:
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(_block(self.den, c) for c in self.cells)
+        return tuple(_box(self.den, c) for c in self.cells)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -237,7 +236,7 @@ def _validate(den: int, cells: list[tuple]) -> None:
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             if a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]:
-                raise PartitionError(f"blocks overlap: {_block(den, a)} / {_block(den, b)}")
+                raise PartitionError(f"blocks overlap: {_box(den, a)} / {_box(den, b)}")
     labels = [c[4] for c in cells if c[4] is not None]
     if len(set(labels)) != len(labels):
         raise PartitionError("duplicate block labels")
@@ -423,27 +422,21 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
     )
 
 
-def _on_grid(p: BlockPartition, r: Rect) -> tuple[int, Sequence[tuple], tuple[int, int, int, int]]:
-    """A common denominator for p and r, p's cells over it, and r's corners."""
-    if r is UNIT_RECT:
-        return p.den, p.cells, (0, p.den, 0, p.den)
+def _window(p: BlockPartition, r: Rect) -> tuple[int, _Window, Sequence[tuple] | None]:
+    """A common denominator for p and r, r's corners over it, and p's cells
+    within r over it, or None when they do not fill r."""
+    if r is UNIT_RECT:  # every partition fills the square
+        return p.den, (0, p.den, 0, p.den), p.cells
     corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
     den = math.lcm(p.den, *(c.denominator for c in corners))
-    k = den // p.den
-    cells = _placed(p.cells, 0, 0, k, k)
-    return den, cells, tuple(int(c * den) for c in corners)
-
-
-def _inside(cells, window: tuple[int, int, int, int]) -> list[tuple] | None:
-    """The cells within the window, or None when they do not fill it."""
-    x1, x2, y1, y2 = window
+    x1, x2, y1, y2 = window = tuple(int(c * den) for c in corners)
+    cells = _placed(p.cells, 0, 0, den // p.den, den // p.den)
     inside = [c for c in cells if x1 <= c[0] and c[1] <= x2 and y1 <= c[2] and c[3] <= y2]
-    if sum((c[1] - c[0]) * (c[3] - c[2]) for c in inside) != (x2 - x1) * (y2 - y1):
-        return None
-    return inside
+    area = sum((c[1] - c[0]) * (c[3] - c[2]) for c in inside)
+    return den, window, inside if area == (x2 - x1) * (y2 - y1) else None
 
 
-def _halves(window: tuple[int, int, int, int], cells, orientation: str) -> tuple | None:
+def _halves(window: _Window, cells, orientation: str) -> tuple | None:
     """The two halves of a window of cells that fill it, across its
     bisection in ``orientation``: west or south first, each ``(window,
     cells within it)``.  None when a cell straddles the bisection.
@@ -465,23 +458,20 @@ def _halves(window: tuple[int, int, int, int], cells, orientation: str) -> tuple
     )
 
 
-def _main_cuts(cells, window: tuple[int, int, int, int]) -> frozenset[str]:
+def _main_cuts(cells, window: _Window) -> frozenset[str]:
     """Which bisections of a window no cell straddles, for cells that fill it."""
     return frozenset(o for o in (VERTICAL, HORIZONTAL) if _halves(window, cells, o) is not None)
 
 
 def is_subrectangle(p: BlockPartition, r: Rect) -> int | None:
     """Arity of r as a disjoint union of blocks of p, or None."""
-    _, cells, window = _on_grid(p, r)
-    inside = _inside(cells, window)
+    inside = _window(p, r)[2]
     return None if inside is None else len(inside)
 
 
-def _subrectangle(p: BlockPartition, r: Rect) -> tuple[int, tuple[int, int, int, int], list]:
-    """A common denominator for p and r, r's corners and the cells within r
-    over it; PartitionError unless those cells fill r."""
-    den, cells, window = _on_grid(p, r)
-    inside = _inside(cells, window)
+def _subrectangle(p: BlockPartition, r: Rect) -> tuple[int, _Window, Sequence[tuple]]:
+    """``_window(p, r)``; PartitionError unless p's cells fill r."""
+    den, window, inside = _window(p, r)
     if inside is None:
         raise PartitionError(f"{r} is not a subrectangle of the partition")
     return den, window, inside
@@ -505,7 +495,7 @@ def primary_cuts_and_slices(
         raise ValueError("orientation must be 'horizontal' or 'vertical'")
     den, window, inside = _subrectangle(p, r)
 
-    def slices(w: tuple[int, int, int, int], cells: list) -> list[tuple[int, int, int, int]]:
+    def slices(w: _Window, cells: Sequence[tuple]) -> list[_Window]:
         halves = _halves(w, cells, orientation)
         return [w] if halves is None else [s for half in halves for s in slices(*half)]
 
@@ -515,7 +505,7 @@ def primary_cuts_and_slices(
     # a primary cut is the east or north side of every slice but the last
     side = 1 if orientation == VERTICAL else 3
     marks = tuple(Fraction(w[side], den) for w in windows[:-1])
-    return marks, tuple(_rect(den, w) for w in windows)
+    return marks, tuple(_box(den, w) for w in windows)
 
 
 INTERIOR = "interior"
@@ -550,7 +540,7 @@ def boundary_order(p: BlockPartition) -> tuple[tuple[int, ...], ...]:
 # Tree preimages
 # ---------------------------------------------------------------------------
 
-def _splits(den: int, window: tuple[int, int, int, int], cells: Sequence[tuple]) -> Iterator[tuple]:
+def _splits(den: int, window: _Window, cells: Sequence[tuple]) -> Iterator[tuple]:
     """The main-cut splits of a window of cells that fill it, in the order
     the fiber lists them: the vertical bisection, an h node of the west and
     east halves, then the horizontal one, a v node of the south and north
@@ -564,7 +554,7 @@ def _splits(den: int, window: tuple[int, int, int, int], cells: Sequence[tuple])
     if south_north is not None:
         yield (trees.V, *south_north)
     elif west_east is None:
-        raise NotDyadicError(f"window {_rect(den, window)} admits no main cut")
+        raise NotDyadicError(f"window {_box(den, window)} admits no main cut")
 
 
 def fiber(p: BlockPartition) -> tuple[Tree, ...]:
@@ -577,7 +567,7 @@ def fiber(p: BlockPartition) -> tuple[Tree, ...]:
     if None in p.labels():
         p = p.with_lex_labels()
 
-    def go(window: tuple[int, int, int, int], cells: Sequence[tuple]) -> tuple[Tree, ...]:
+    def go(window: _Window, cells: Sequence[tuple]) -> tuple[Tree, ...]:
         if len(cells) == 1:
             return (cells[0][4],)
         return tuple(
@@ -594,7 +584,7 @@ def representative(p: BlockPartition) -> Tree:
     if None in p.labels():
         p = p.with_lex_labels()
 
-    def go(window: tuple[int, int, int, int], cells: Sequence[tuple]) -> Tree:
+    def go(window: _Window, cells: Sequence[tuple]) -> Tree:
         if len(cells) == 1:
             return cells[0][4]
         op, lo, hi = next(_splits(p.den, window, cells))

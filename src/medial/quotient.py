@@ -16,8 +16,8 @@ subtrees; a search state is the flat key of its root.
   negative int id, interned on the key ``(op, child, ...)`` of its child
   ids, so hashing and comparing a key is shallow, and a subtree shared by
   many states is one id.  The store is a dict whose ``__missing__`` interns
-  the key, so a node seen before costs one lookup.  A monomial, binary or
-  alternating, is flattened and interned in one pass.
+  the key, so a node seen before costs one lookup.  A binary monomial is
+  flattened and interned in one pass.
 * A state is its root's key, not an id: a state is never a child of
   another node, so interning it would buy nothing and cost a dict entry, a
   ``keys`` slot, a ``memo`` slot, an int and a lookup per edge.  A
@@ -86,9 +86,9 @@ are replayed, and the traced paths run the kernel as before.
 
 Outside the store a move has one meaning, the binary interchange it stands
 for: ``_interchange`` builds a binary representative in which the move is
-one interchange redex.  ``apply_move`` flattens the rewritten representative,
-and ``expand_move`` adds the associativity rotations on either side, so
-search results are delivered as ordinary replayable certificates.
+one interchange redex.  ``expand_move`` rotates into it (``rewrite.assoc_path``),
+applies the interchange and rotates out, so search results are delivered as
+ordinary replayable certificates; ``apply_move`` is its flattened result.
 ``expand_path`` checks that each move of a traced chain lands on the next
 state, which compares the store's interned successor with the binary rewrite,
 and ``_certificate`` checks that the whole proof ends at its target.
@@ -99,8 +99,9 @@ the rewritten tree to its comb, which the steps need anyway, yields it.
 under fewer rule families, a binary closure.  Both hand their same-shape
 members in discovery order to one builder, ``_witnesses``: one witness per
 permutation, sorted, certified from its first member by a shortest path.
-``_scan`` checks the leaf labels on the walk that interns the monomial, so
-the monomial is walked once before its search.
+The store reads binary monomials only: ``_rooted`` checks that each node has
+two children and that the leaf labels are 1..n on the walk that interns the
+monomial, so a wider node is refused before any state is expanded.
 
 ``scan_monomials`` answers a run of ``find_commutations`` calls with one
 search for each class that needs one.  Relabelling the arguments preserves
@@ -132,6 +133,7 @@ from .rewrite import (
     RewriteError,
     RewriteStep,
     apply_redex,
+    assoc_path,
     certificate_from_path,
     closure,
     comb_steps,
@@ -176,15 +178,15 @@ class _Store(dict):
         return nid
 
     def from_binary(self, t: Tree, leaves: list[int] | None = None) -> int:
-        """Flatten and intern a monomial, binary or alternating, in one pass;
-        its leaf labels are appended to ``leaves``, left to right, when a
-        list is given."""
+        """Flatten and intern a binary monomial in one pass; its leaf labels
+        are appended to ``leaves``, left to right, when a list is given."""
         key = self.state(t, leaves)
         return key if is_leaf(key) else self[key]
 
     def state(self, t: Tree, leaves: list[int] | None = None) -> State:
         """``from_binary`` without interning the root: the search state of
-        ``t``, the flat key of its root, or a leaf alone."""
+        ``t``, the flat key of its root, or a leaf alone.  ValueError on the
+        first node met that does not have two children."""
         if leaves is None:
             leaves = []
         if is_leaf(t):
@@ -192,12 +194,14 @@ class _Store(dict):
             return t
         op = t[0]
         parts: list[int] = []
-        stack = list(t[:0:-1])  # the children, last first
+        stack = [t]
         while stack:
             sub = stack.pop()
             if is_leaf(sub):
                 parts.append(sub)
                 leaves.append(sub)
+            elif len(sub) != 3:
+                raise ValueError(f"a {sub[0]} node with {len(sub) - 1} children is not binary")
             elif sub[0] == op:
                 stack += sub[:0:-1]
             else:
@@ -360,7 +364,7 @@ def _moves(tree: AltTree) -> list[Move]:
 def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
     """All single-interchange neighbours of an alternating tree."""
     store = _Store()
-    key = store.state(tree)
+    key = store.state(right_comb(tree))
     for k, c in enumerate(store.neighbours(key)):
         yield store.move(key, k), store.tree(c)
 
@@ -402,14 +406,12 @@ def _interchange(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, Rewr
 
 def apply_move(tree: AltTree, move: Move) -> AltTree:
     """The move applied to nested tuples: its binary interchange, flattened."""
-    rep, step = _interchange(tree, move, right_comb(tree))
-    return to_alternating(apply_redex(rep, step))
+    return expand_move(tree, move)[1]
 
 
 def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTree]:
     """Binary steps from right_comb(u) to right_comb(v) realizing the move."""
-    steps, v, _ = _expand_move(u, right_comb(u), move)
-    return steps, v
+    return _expand_move(u, right_comb(u), move)[:2]
 
 
 def _expand_move(
@@ -420,14 +422,8 @@ def _expand_move(
     tree reaches anyway, for the next move of a chain."""
     rep, step = _interchange(u, move, u_comb)
     after = apply_redex(rep, step)
-    # u_comb is a comb already: rotating rep and after to their combs
-    # gives the whole associativity path on each side.
-    comb_rep, rep_to_comb = comb_steps(rep)
-    if comb_rep != u_comb:
-        raise RewriteError("trees are not equal modulo associativity")
     v_comb, after_to_comb = comb_steps(after)
-    steps = tuple(s.inverted() for s in reversed(rep_to_comb)) + (step,) + after_to_comb
-    return steps, to_alternating(after), v_comb
+    return assoc_path(u_comb, rep) + (step,) + after_to_comb, to_alternating(after), v_comb
 
 
 def expand_path(t_start: Tree, moves: Chain) -> tuple[RewriteStep, ...]:
@@ -621,11 +617,11 @@ def find_commutations(
     its arguments permuted; each distinct nonidentity permutation is
     reported once, with a certificate from a shortest interchange path.
     Passing a proper subset of rule families falls back to a plain binary
-    closure scan under those rules.  ValueError unless t's leaf labels are
-    1..n, before any search.
+    closure scan under those rules.  ValueError unless t is binary with leaf
+    labels 1..n, before any search.
     """
     if families is not None and frozenset(families) != ALL_FAMILIES:
-        _check_labels(leaf_labels(t))
+        _rooted(t)  # checks t
         return _find_commutations_binary(t, frozenset(families), budget)
     return _scan(t, budget)[0]
 
@@ -642,8 +638,8 @@ def scan_monomials(
     """
     trivial: dict[AltTree, CommutationScan] = {}
     for t in monomials:
-        _check_labels(leaf_labels(t))
-        scan = trivial.get(strip_labels(to_alternating(t)))
+        store, root = _rooted(t)
+        scan = trivial.get(strip_labels(store.tree(root)))
         if scan is None:
             scan, store, search = _scan(t, budget)
             if scan.exhausted and not scan.witnesses:
@@ -652,13 +648,20 @@ def scan_monomials(
         yield scan
 
 
-def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
-    """The interchange search behind ``find_commutations``, with its store
-    and its frontier.  The labels are checked on the walk that interns t."""
+def _rooted(t: Tree) -> tuple[_Store, State]:
+    """A new store and t's search state in it, on the one walk that checks
+    that t is binary with leaf labels 1..n (ValueError otherwise)."""
     store = _Store()
     leaves: list[int] = []
     root = store.state(t, leaves)
     _check_labels(leaves)
+    return store, root
+
+
+def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
+    """The interchange search behind ``find_commutations``, with its store
+    and its frontier."""
+    store, root = _rooted(t)
     search = Frontier(store.neighbours, root)
     exhausted = search.run(budget)
     # a state other than the root is never the identity

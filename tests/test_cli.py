@@ -592,6 +592,17 @@ def test_exit_code_priority():
     assert _worst(PASS, PASS) == PASS
 
 
+def test_count_checks_the_graph_limit_before_counting(monkeypatch, tmp_path, capsys):
+    def refuse(n):
+        raise AssertionError(f"count_summary({n}) ran before the graph limit check")
+
+    monkeypatch.setattr(counts, "count_summary", refuse)
+    out = tmp_path / "g.txt"
+    assert main(["count", "--arity", "11", "--graph-out", str(out)]) == USAGE
+    assert capsys.readouterr().err == "error: arity 11 exceeds the graph limit 8\n"
+    assert not out.exists()
+
+
 def test_count_graph_out(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["count", "--arity", "4", "--graph-out", str(out)]) == PASS

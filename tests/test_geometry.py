@@ -44,6 +44,7 @@ from medial.geometry import (
     vjoin,
 )
 from medial.geometry import _main_cuts
+from medial.geometry import _splits
 from medial.trees import (
     H,
     V,
@@ -511,3 +512,48 @@ def test_every_inner_block_side_lies_under_a_cut():
     every = [p for n in range(1, 8) for p in enumerate_partitions(n)]
     for p in every + parsed + composed:
         assert _uncovered_sides(p) == []
+
+
+def test_errors_naming_a_window_cut_its_numbers():
+    # a window with a 3,000-digit denominator: each error that names it
+    # prints its numbers cut to 20 characters, not in full
+    n = int("3" * 3000)
+    thin = BlockPartition((Block(F(0), F(1), F(0), F(1, n), 1), Block(F(0), F(1), F(1, n), F(1), 2)))
+    with pytest.raises(PartitionError) as not_inside:
+        main_cuts(GRID, Rect(F(0), F(1, 2), F(0), F(2, n)))
+    with pytest.raises(PartitionError) as no_cut:
+        primary_cuts_and_slices(thin, Rect(F(0), F(1), F(0), F(1, n)), VERTICAL)
+    with pytest.raises(NotDyadicError) as no_split:
+        next(_splits(n, (0, 1, 0, 1), [(0, 1, 0, 1, 1)]))
+    cut = "3" * 18 + "..."
+    assert str(not_inside.value) == (
+        f"Rect(x1=0, x2=1/2, y1=0, y2=2/{cut}) is not a subrectangle of the partition"
+    )
+    assert str(no_cut.value) == f"no vertical main cut in Rect(x1=0, x2=1, y1=0, y2=1/{cut})"
+    assert str(no_split.value) == f"window Rect(x1=0, x2=1/{cut}, y1=0, y2=1/{cut}) admits no main cut"
+    for exc in (not_inside, no_cut, no_split):
+        assert len(str(exc.value).encode()) < 200
+
+
+def test_a_block_is_a_labelled_rect():
+    # a Block is a Rect with a label: its str, repr, hash, order and
+    # equality are those of the five-field box, and it never equals a Rect
+    b = Block(F(0), F(1, 2), F(1, 4), F(1), 3)
+    assert str(b) == "Block(x1=0, x2=1/2, y1=1/4, y2=1, label=3)"
+    assert repr(b) == (
+        "Block(x1=Fraction(0, 1), x2=Fraction(1, 2), y1=Fraction(1, 4), y2=Fraction(1, 1), label=3)"
+    )
+    assert hash(b) == hash((F(0), F(1, 2), F(1, 4), F(1), 3))
+    assert b == Block(F(0), F(1, 2), F(1, 4), F(1), 3) != Block(F(0), F(1, 2), F(1, 4), F(1), 4)
+    west, east = Block(F(0), F(1, 2), F(0), F(1, 4), 5), Block(F(1, 2), F(1), F(0), F(1), 1)
+    assert sorted([east, b, west]) == [west, b, east]
+    assert b < Block(F(0), F(1, 2), F(1, 4), F(1), 4)
+    r = Rect(b.x1, b.x2, b.y1, b.y2)
+    assert b != r and r != b and len({b, r}) == 2
+    assert classify_blocks(GRID) == {
+        Block(F(0), F(1, 2), F(0), F(1, 2), 1): BORDER,
+        Block(F(1, 2), F(1), F(0), F(1, 2), 2): BORDER,
+        Block(F(0), F(1, 2), F(1, 2), F(1), 3): BORDER,
+        Block(F(1, 2), F(1), F(1, 2), F(1), 4): BORDER,
+    }
+    assert all(type(k) is Block for k in classify_blocks(GRID))

@@ -27,6 +27,14 @@ TRACED = [
     ("medial.geometry", "realize"),
     ("medial.cli", "check_equivalence"),
     ("BlockPartition", "with_lex_labels"),
+    ("medial.quotient", "expand_path"),
+    ("medial.rewrite", "certificate_from_path"),
+    ("medial.rewrite", "closure"),
+    ("medial.rewrite", "replay_certificate"),
+    ("medial.catalog", "load_certificate"),
+    ("medial.trees", "parse_monomial"),
+    ("medial.assoc", "to_alternating"),
+    ("medial.assoc", "enumerate_alternating"),
 ]
 
 

@@ -675,3 +675,40 @@ def test_interchange_neighbour_existence():
     assert not interchange_neighbours_exist(strip_labels(to_alternating((H, 1, 2))))
     grid = to_alternating(parse_monomial("((a h b) v (c h d))"))
     assert interchange_neighbours_exist(strip_labels(grid))
+
+
+def test_searches_refuse_a_wide_node_before_any_expansion(monkeypatch):
+    # the store reads binary monomials; an alternating tree with a node wider
+    # than two is refused up front by every entry point, on the cache-hit
+    # path of scan_monomials too
+    wide = to_alternating(BM9.lhs)
+    assert any(not is_leaf(t) and len(t) > 3 for t in (wide, *wide[1:]))
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a search expanded a state")
+
+    refused = pytest.raises(ValueError, match=r"^a [hv] node with \d+ children is not binary$")
+    scans = scan_monomials([BM9.lhs, wide], budget=1)
+    next(scans)  # BM9's class is cut short, so a second search would follow
+    monkeypatch.setattr(Frontier, "expand", unreached)
+    monkeypatch.setattr(quotient, "closure", unreached)
+    for call in (
+        lambda: check_equivalence(wide, wide),
+        lambda: check_equivalence(BM9.lhs, wide),
+        lambda: check_equivalence(wide, BM9.lhs),
+        lambda: find_commutations(wide),
+        lambda: find_commutations(wide, families=INTERCHANGE_ONLY),
+        lambda: list(scan_monomials([wide])),
+        lambda: next(scans),
+    ):
+        with refused:
+            call()
+    # a witness-free class is reused without a search: the wide form of a
+    # monomial in it still raises
+    lone = (V, (H, 1, (H, 2, 3)), 4)  # no interchange applies
+    hits = scan_monomials([lone, to_alternating(lone)])
+    monkeypatch.undo()
+    assert next(hits).exhausted
+    monkeypatch.setattr(Frontier, "expand", unreached)
+    with refused:
+        next(hits)
