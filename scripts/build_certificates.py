@@ -23,9 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from medial.assoc import to_alternating
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, KOCK16, CERTIFICATE_FILES
-from medial.quotient import _certificate, alt_successors, check_equivalence
+from medial.quotient import _Store, _certificate, check_equivalence
 from medial.rewrite import Certificate, RewriteError, replay_certificate
 from medial.trees import parse_monomial
 
@@ -66,19 +65,18 @@ def build_config_a() -> Certificate:
     if (milestones[0], milestones[-1]) != (CONFIG_A.lhs, CONFIG_A.rhs):
         raise SystemExit("the configA milestones do not run from its lhs to its rhs")
 
+    store = _Store()
     chain = []
     for prev, nxt in zip(milestones, milestones[1:]):
-        u, v = to_alternating(prev), to_alternating(nxt)
-        for move, result in alt_successors(u):
-            if result == v:
-                chain.append((u, move))
-                break
-        else:
+        u, v = store.state(prev), store.state(nxt)
+        neighbours = store.neighbours(u)
+        if v not in neighbours:
             raise SystemExit(
                 f"no single interchange connects milestones:\n  {prev}\n  {nxt}"
             )
+        chain.append((u, store.move(u, neighbours.index(v))))
     try:
-        return _certificate(milestones[0], chain, CONFIG_A.rhs, [])
+        return _certificate(store, milestones[0], chain, CONFIG_A.rhs, [])
     except RewriteError as exc:
         raise SystemExit(f"the configA milestones do not give a certificate: {exc}")
 

@@ -61,8 +61,8 @@ class, so it would have met the other root (Pohl 1971).  A frontier maps
 each state to the state that discovered it and records no move.  Only the
 traced path of a result is spelled out (``_trace``): the move from a parent
 to a state is ``move(parent, neighbours(parent).index(state))``, because a
-state is discovered at its first place in its parent's list.  The states on
-that path become nested tuples again.
+state is discovered at its first place in its parent's list.  A traced chain
+is a list of (state key, move); no state on it becomes nested tuples.
 
 Every relation ``medial verify`` proves is a pair (t, sigma(t)), one monomial
 and itself with its arguments permuted.  When ``check_equivalence``'s two
@@ -85,15 +85,17 @@ shapes, runs the kernel on both sides.  On kock16 ``neighbours`` runs on
 are replayed, and the traced paths run the kernel as before.
 
 Outside the store a move has one meaning, the binary interchange it stands
-for: ``_interchange`` builds a binary representative in which the move is
-one interchange redex.  ``expand_move`` rotates into it (``rewrite.assoc_path``),
-applies the interchange and rotates out, so search results are delivered as
-ordinary replayable certificates; ``apply_move`` is its flattened result.
-``expand_path`` checks that each move of a traced chain lands on the next
-state, which compares the store's interned successor with the binary rewrite,
-and ``_certificate`` checks that the whole proof ends at its target.
-``expand_path`` carries each state's right comb to the next move: rotating
-the rewritten tree to its comb, which the steps need anyway, yields it.
+for.  ``_move_steps`` writes it as binary steps, from the right comb of the
+state to the right comb of the next, in closed form from the widths in the
+store's keys: rotations into a representative that holds the redex, the
+interchange, rotations out.  ``expand_path`` replays them on the running
+right comb and, at each move, checks that comb against the right comb of
+the state the move is taken at, built from the store's keys and memoized by
+node id for the call, so a wrong step raises instead of becoming a
+certificate; ``certificate_from_path`` replays the whole proof once more,
+and ``_certificate`` checks that it ends at its target.  The tests keep a
+tree-walking expansion as the oracle; the two agree on every move of every
+alternating tree to arity 8.
 
 ``find_commutations`` has two engines, the interchange search ``_scan`` and,
 under fewer rule families, a binary closure.  Both hand their same-shape
@@ -121,9 +123,10 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .assoc import AltTree, comb, right_comb, to_alternating
+from .assoc import AltTree, comb, right_comb
 from .rewrite import (
     ALL_FAMILIES,
+    ASSOC_RULE,
     BACKWARD,
     DEFAULT_BUDGET,
     FORWARD,
@@ -133,7 +136,6 @@ from .rewrite import (
     RewriteError,
     RewriteStep,
     apply_redex,
-    assoc_path,
     certificate_from_path,
     closure,
     comb_steps,
@@ -145,9 +147,7 @@ from .trees import (
     V,
     is_leaf,
     leaf_labels,
-    opposite,
     relabel,
-    replace_at,
     strip_labels,
 )
 
@@ -155,7 +155,7 @@ from .trees import (
 # child i+1); the node's operation determines the interchange direction.
 Move = tuple[Position, int, int, int]
 State = tuple | int  # the flat key (op, child id, ...) of a searched tree, or a leaf
-Chain = list[tuple[AltTree, Move]]  # (state, move taken there), in order
+Chain = list[tuple[State, Move]]  # (state, move taken there), in order
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +356,6 @@ class _Store(dict):
         raise IndexError("move index out of range")
 
 
-def _moves(tree: AltTree) -> list[Move]:
-    """The moves of ``tree``, in the order of ``_Store.successors``."""
-    return [move for move, _ in alt_successors(tree)]
-
-
 def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
     """All single-interchange neighbours of an alternating tree."""
     store = _Store()
@@ -373,74 +368,88 @@ def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
 # Expansion of a quotient move into binary steps
 # ---------------------------------------------------------------------------
 
-def _split_rep(op: str, child: AltTree, split: int) -> Tree:
-    """Binary representative of ``child`` whose root splits its list at
-    ``split``; children are combed canonically below the split."""
-    kids = child[1:]
-    parts = tuple(map(right_comb, kids))
-    return (op, comb(op, parts[:split]), comb(op, parts[split:]))
-
-
 def _comb_position(j: int, m: int) -> Position:
     """Position of part ``j`` of ``m`` in their right comb."""
     return (1,) * j + (0,) * (j < m - 1)
 
 
-def _interchange(tree: AltTree, move: Move, tree_comb: Tree) -> tuple[Tree, RewriteStep]:
-    """The binary interchange the move stands for: ``tree_comb``, which is
-    ``right_comb(tree)``, with the moved node rebracketed around the redex,
-    and the step on it, whose direction the node's operation gives."""
+def _move_steps(keys: list[tuple], state: tuple, move: Move) -> list[RewriteStep]:
+    """The binary steps of ``move`` from the right comb of ``state`` to the
+    right comb of the state it leads to, read off the widths in ``keys``,
+    the store's node keys.
+
+    The node's comb position ``pos`` gains ``(1,)*j + (0,)*(j < w-1)`` for
+    each index ``j`` of the path under an ancestor of width ``w``.  With
+    ``m`` parts once children i and i+1 are grouped, the redex sits at
+    ``pos + (1,)*i``, followed by ``(0,)`` when ``i < m-1``.
+    """
     path, i, sa, sb = move
-    pos, node = (), tree
+    pos, key = (), state
     for j in path:
-        pos += _comb_position(j, len(node) - 1)
-        node = node[j + 1]
-    op, kids = node[0], node[1:]
-    opp = opposite(op)
-    parts = [right_comb(c) for c in kids]
-    parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
-    rep = replace_at(tree_comb, pos, comb(op, parts))
-    direction = FORWARD if op == V else BACKWARD
-    return rep, RewriteStep(INTERCHANGE, direction, pos + _comb_position(i, len(parts)))
+        pos += _comb_position(j, len(key) - 1)
+        key = keys[~key[j + 1]]
+    op = key[0]
+    rotate, rotate_opp = ASSOC_RULE[op], ASSOC_RULE[OPPOSITE[op]]
+    m = len(key) - 2  # parts once children i and i + 1 are grouped
+    a = keys[~key[i + 1]]
+    redex = pos + _comb_position(i, m)
+    # in: the comb steps from the representative holding the redex, inverted
+    # in reverse order; they split child i + 1, then child i, then group them
+    steps = []
+    for child, split in ((i + 1, sb), (i, sa)):
+        at = pos + _comb_position(child, m + 1)
+        ups = reversed(range(split - 1))
+        steps += [RewriteStep(rotate_opp, BACKWARD, at + (1,) * k) for k in ups]
+    if i < m - 1:
+        steps.append(RewriteStep(rotate, BACKWARD, pos + (1,) * i))
+    steps.append(RewriteStep(INTERCHANGE, FORWARD if op == V else BACKWARD, redex))
+    # out: a node left with one child splices it into its parent, which takes
+    # one rotation unless the node is the root or its parent's last child;
+    # then a half of the new child whose part of child i is one node of
+    # width w takes w - 1 rotations
+    if m == 1 and pos[-1:] == (0,):
+        steps.append(RewriteStep(rotate_opp, FORWARD, pos[:-1]))
+        halves = pos, pos[:-1] + (1, 0)
+    else:
+        halves = redex + (0,), redex + (1,)
+    for at, alone, part in zip(halves, (sa == 1, sa == len(a) - 2), (a[1], a[-1])):
+        if alone and part < 0:
+            width = len(keys[~part]) - 1
+            steps += [RewriteStep(rotate, FORWARD, at + (1,) * k) for k in range(width - 1)]
+    return steps
 
 
-def apply_move(tree: AltTree, move: Move) -> AltTree:
-    """The move applied to nested tuples: its binary interchange, flattened."""
-    return expand_move(tree, move)[1]
-
-
-def expand_move(u: AltTree, move: Move) -> tuple[tuple[RewriteStep, ...], AltTree]:
-    """Binary steps from right_comb(u) to right_comb(v) realizing the move."""
-    return _expand_move(u, right_comb(u), move)[:2]
-
-
-def _expand_move(
-    u: AltTree, u_comb: Tree, move: Move
-) -> tuple[tuple[RewriteStep, ...], AltTree, Tree]:
-    """``expand_move`` given ``u_comb``, the right comb of ``u``; also
-    returns the right comb of ``v``, which the rotation of the rewritten
-    tree reaches anyway, for the next move of a chain."""
-    rep, step = _interchange(u, move, u_comb)
-    after = apply_redex(rep, step)
-    v_comb, after_to_comb = comb_steps(after)
-    return assoc_path(u_comb, rep) + (step,) + after_to_comb, to_alternating(after), v_comb
-
-
-def expand_path(t_start: Tree, moves: Chain) -> tuple[RewriteStep, ...]:
+def expand_path(store: _Store, t_start: Tree, chain: Chain) -> tuple[RewriteStep, ...]:
     """Binary steps from ``t_start`` through a chain of quotient moves.
 
-    ``moves`` lists (state, move applied at that state) in order.  Each
-    state must be where the chain stands: the alternating form of
-    ``t_start``, then the flattened result of the move before it.
+    ``chain`` lists (state, move taken there) in order, each state a key of
+    ``store``.  The steps are replayed on the running right comb, which at
+    each move must be the right comb of the state the move is taken at: the
+    state of ``t_start``, then the one the move before it led to.
     """
-    at_comb, start_rot = comb_steps(t_start)
-    steps = list(start_rot)
-    at = to_alternating(t_start)
-    for state, move in moves:
-        if state != at:
+    keys = store.keys
+    combs: dict[int, Tree] = {}  # right comb of each node id met
+
+    def right_comb_of(n: State) -> Tree:
+        if isinstance(n, tuple):
+            return comb(n[0], [right_comb_of(c) for c in n[1:]])
+        if n >= 0:
+            return n
+        out = combs.get(n)
+        if out is None:
+            out = combs[n] = right_comb_of(keys[~n])
+        return out
+
+    at, rotate = comb_steps(t_start)
+    steps = list(rotate)
+    for state, move in chain:
+        want = right_comb_of(state)
+        if at != want:
             raise RewriteError(f"move {move} does not start where the chain stands")
-        seg, at, at_comb = _expand_move(state, at_comb, move)
-        steps.extend(seg)
+        at = want
+        for step in _move_steps(keys, state, move):
+            at = apply_redex(at, step)
+            steps.append(step)
     return tuple(steps)
 
 
@@ -463,15 +472,16 @@ def _trace(store: _Store, search: Frontier, state: State) -> Chain:
     """Chain from the search's root to ``state``.  A state was discovered at
     its first place in its parent's successor list, so that place names the move."""
     return [
-        (store.tree(parent), store.move(parent, store.neighbours(parent).index(child)))
+        (parent, store.move(parent, store.neighbours(parent).index(child)))
         for parent, child in pairwise(search.path(state))
     ]
 
 
-def _certificate(t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
+def _certificate(store: _Store, t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
     """Certificate from ``t1`` along ``chain1``, then back along ``chain2``
-    to ``t2``; a chain that does not end where the other does is an error."""
-    fwd, bwd = expand_path(t1, chain1), expand_path(t2, chain2)
+    to ``t2``, both chains of ``store``'s states; a chain that does not end
+    where the other does is an error."""
+    fwd, bwd = expand_path(store, t1, chain1), expand_path(store, t2, chain2)
     cert = certificate_from_path(t1, fwd + tuple(s.inverted() for s in reversed(bwd)))
     if cert.final != t2:
         raise RewriteError("the traced chains do not meet")
@@ -538,7 +548,7 @@ def check_equivalence(
     if sorted(leaves1) != sorted(leaves2):
         raise ValueError("monomials must use the same arguments")
     if u1 == u2:
-        return EquivalenceResult(_certificate(t1, [], t2, []), False, 0)
+        return EquivalenceResult(_certificate(store, t1, [], t2, []), False, 0)
 
     mirror = None
     if len(set(leaves1)) == len(leaves1) and store.same_shape(u1, u2):
@@ -563,7 +573,7 @@ def check_equivalence(
             for nxt in new:
                 if nxt in other.parents:
                     fwd, bwd = (_trace(store, side, nxt) for side in sides)
-                    cert = _certificate(t1, fwd, t2, bwd)
+                    cert = _certificate(store, t1, fwd, t2, bwd)
                     return EquivalenceResult(cert, False, expanded())
     return EquivalenceResult(None, True, expanded())
 
@@ -620,10 +630,10 @@ def find_commutations(
     closure scan under those rules.  ValueError unless t is binary with leaf
     labels 1..n, before any search.
     """
+    rooted = _rooted(t)  # checks t
     if families is not None and frozenset(families) != ALL_FAMILIES:
-        _rooted(t)  # checks t
         return _find_commutations_binary(t, frozenset(families), budget)
-    return _scan(t, budget)[0]
+    return _scan(t, budget, *rooted)[0]
 
 
 def scan_monomials(
@@ -641,7 +651,7 @@ def scan_monomials(
         store, root = _rooted(t)
         scan = trivial.get(strip_labels(store.tree(root)))
         if scan is None:
-            scan, store, search = _scan(t, budget)
+            scan, search = _scan(t, budget, store, root)
             if scan.exhausted and not scan.witnesses:
                 for state in search.parents:
                     trivial[strip_labels(store.tree(state))] = scan
@@ -658,16 +668,25 @@ def _rooted(t: Tree) -> tuple[_Store, State]:
     return store, root
 
 
-def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
-    """The interchange search behind ``find_commutations``, with its store
-    and its frontier."""
-    store, root = _rooted(t)
+def _scan(t: Tree, budget: int, store: _Store, root: State) -> tuple[CommutationScan, Frontier]:
+    """The interchange search behind ``find_commutations``, from ``root``,
+    t's state in ``store`` (``_rooted(t)``), with its frontier."""
     search = Frontier(store.neighbours, root)
     exhausted = search.run(budget)
-    # a state other than the root is never the identity
-    found = ((store.tree(s), s) for s in search.parents if s != root and store.same_shape(s, root))
+    # a state other than the root is never the identity; the root's operation
+    # and width, compared inline, turn away about half the states
+    found = ()
+    if not is_leaf(root):
+        op, width = root[0], len(root)
+        found = (
+            (store.tree(s), s)
+            for s in search.parents
+            if s[0] == op and len(s) == width and s != root and store.same_shape(s, root)
+        )
     witnesses = _witnesses(
-        t, found, lambda state, target: _certificate(t, _trace(store, search, state), target, [])
+        t,
+        found,
+        lambda state, target: _certificate(store, t, _trace(store, search, state), target, []),
     )
     scan = CommutationScan(
         witnesses=witnesses,
@@ -675,7 +694,7 @@ def _scan(t: Tree, budget: int) -> tuple[CommutationScan, _Store, Frontier]:
         expanded=search.expanded,
         class_size=len(search.parents),
     )
-    return scan, store, search
+    return scan, search
 
 
 def _check_labels(leaves: Sequence[int]) -> None:
@@ -691,8 +710,10 @@ def _witnesses(t: Tree, found: Iterable, certify: Callable) -> tuple[Commutation
     sorted, certified by ``certify(handle, target)`` from its first member,
     ``target`` being t with its arguments permuted."""
     first = {}
+    labels = ()
     for member, handle in found:
-        sigma = dict(zip(leaf_labels(t), leaf_labels(member)))
+        labels = labels or leaf_labels(t)  # read once, at the first member
+        sigma = dict(zip(labels, leaf_labels(member)))
         first.setdefault(tuple(sigma[k] for k in sorted(sigma)), handle)
     return tuple(
         CommutationWitness(t, perm, certify(handle, relabel(t, dict(enumerate(perm, 1)))))

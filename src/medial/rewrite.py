@@ -42,6 +42,7 @@ ASSOC_V = "assoc_v"
 INTERCHANGE = "interchange"
 ALL_FAMILIES = frozenset({ASSOC_H, ASSOC_V, INTERCHANGE})
 ASSOC_FAMILIES = frozenset({ASSOC_H, ASSOC_V})
+ASSOC_RULE = {H: ASSOC_H, V: ASSOC_V}  # the associativity rule of each operation
 INTERCHANGE_ONLY = frozenset({INTERCHANGE})
 
 FORWARD = "forward"
@@ -332,8 +333,7 @@ def comb_steps(t: Tree) -> tuple[Tree, tuple[RewriteStep, ...]]:
         while not is_leaf(node[1]) and node[1][0] == op:
             left = node[1]
             node = (op, left[1], (op, left[2], node[2]))
-            rule = ASSOC_H if op == H else ASSOC_V
-            steps.append(RewriteStep(rule, FORWARD, pos))
+            steps.append(RewriteStep(ASSOC_RULE[op], FORWARD, pos))
         return (op, go(node[1], pos + (0,)), go(node[2], pos + (1,)))
 
     result = go(t, ())

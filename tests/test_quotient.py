@@ -5,6 +5,8 @@ import re
 from itertools import islice, tee
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medial import quotient
 from medial.assoc import (
@@ -18,12 +20,9 @@ from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
 from medial.geometry import grid_partitions, representative
 from medial.quotient import (
     EquivalenceResult,
-    _moves,
     _Store,
     alt_successors,
-    apply_move,
     check_equivalence,
-    expand_move,
     expand_path,
     find_commutations,
     interchange_neighbours_exist,
@@ -31,13 +30,19 @@ from medial.quotient import (
 )
 from medial.rewrite import (
     ALL_FAMILIES,
+    BACKWARD,
     DEFAULT_BUDGET,
+    FORWARD,
     INTERCHANGE,
     INTERCHANGE_ONLY,
     Frontier,
     RewriteError,
+    RewriteStep,
+    apply_redex,
+    assoc_path,
     certificate_from_path,
     closure,
+    comb_steps,
     replay_certificate,
     successors,
 )
@@ -51,6 +56,7 @@ from medial.trees import (
     parse_monomial,
     random_shape,
     relabel,
+    replace_at,
     strip_labels,
 )
 
@@ -61,6 +67,107 @@ def _binary_route_neighbours(a):
         for _, res in successors(rep, families=INTERCHANGE_ONLY):
             out.add(to_alternating(res))
     return out
+
+
+def _moves(tree):
+    """The moves of ``tree``, in the order of ``_Store.successors``."""
+    return [move for move, _ in alt_successors(tree)]
+
+
+def _split_rep(op, child, split):
+    """Binary representative of ``child`` whose root splits its list at
+    ``split``; children are combed canonically below the split."""
+    parts = tuple(map(right_comb, child[1:]))
+    return (op, comb(op, parts[:split]), comb(op, parts[split:]))
+
+
+def _comb_position(j, m):
+    """Position of part ``j`` of ``m`` in their right comb."""
+    return (1,) * j + (0,) * (j < m - 1)
+
+
+def _interchange(tree, move, tree_comb):
+    """The binary interchange the move stands for: ``tree_comb``, which is
+    ``right_comb(tree)``, with the moved node rebracketed around the redex,
+    and the step on it, whose direction the node's operation gives."""
+    path, i, sa, sb = move
+    pos, node = (), tree
+    for j in path:
+        pos += _comb_position(j, len(node) - 1)
+        node = node[j + 1]
+    op, kids = node[0], node[1:]
+    opp = opposite(op)
+    parts = [right_comb(c) for c in kids]
+    parts[i : i + 2] = [(op, _split_rep(opp, kids[i], sa), _split_rep(opp, kids[i + 1], sb))]
+    rep = replace_at(tree_comb, pos, comb(op, parts))
+    direction = FORWARD if op == V else BACKWARD
+    return rep, RewriteStep(INTERCHANGE, direction, pos + _comb_position(i, len(parts)))
+
+
+def _expand_move(u, move):
+    """The tree-walking expansion, the oracle for the closed form: rotate
+    into a representative holding the redex, apply it, comb the result; the
+    steps and the alternating tree reached."""
+    u_comb = right_comb(u)
+    rep, step = _interchange(u, move, u_comb)
+    after = apply_redex(rep, step)
+    return assoc_path(u_comb, rep) + (step,) + comb_steps(after)[1], to_alternating(after)
+
+
+def apply_move(tree, move):
+    """The move applied to nested tuples, by the oracle: its binary
+    interchange, flattened."""
+    return _expand_move(tree, move)[1]
+
+
+def _closed_form(u, move):
+    """``quotient._move_steps`` for a move at the alternating tree ``u``."""
+    store = _Store()
+    return quotient._move_steps(store.keys, store.state(right_comb(u)), move)
+
+
+def expand_move(u, move):
+    """The closed-form steps of a move at ``u`` and the alternating tree
+    they lead to."""
+    steps = _closed_form(u, move)
+    return steps, to_alternating(certificate_from_path(right_comb(u), steps).final)
+
+
+def _assert_closed_form_is_the_oracle(a):
+    """Every move of the alternating tree ``a``; returns their number."""
+    moves = _moves(a)
+    for move in moves:
+        assert tuple(_closed_form(a, move)) == _expand_move(a, move)[0]
+    return len(moves)
+
+
+def test_closed_form_equals_the_tree_walking_expansion():
+    trees = (a for n in range(1, 9) for a in enumerate_alternating(n))
+    assert sum(map(_assert_closed_form_is_the_oracle, trees)) == 10562
+
+
+def _random_alternating(n, op, rng, offset=0):
+    """A seeded alternating tree of ``n`` leaves rooted at ``op``: its leaves
+    cut into two to five runs, each run a child rooted at the other
+    operation, or a leaf."""
+    if n == 1:
+        return offset + 1
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 4))))
+    bounds = list(zip([0, *cuts], [*cuts, n]))
+    return (op, *(_random_alternating(b - a, opposite(op), rng, offset + a) for a, b in bounds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 12), st.sampled_from((H, V)), st.randoms(use_true_random=False))
+def test_closed_form_equals_the_tree_walking_expansion_to_arity_12(n, op, rng):
+    # the drawn tree, then up to three trees a random walk of moves reaches
+    a = _random_alternating(n, op, rng)
+    for _ in range(4):
+        _assert_closed_form_is_the_oracle(a)
+        neighbours = [v for _, v in alt_successors(a)]
+        if not neighbours:
+            break
+        a = rng.choice(neighbours)
 
 
 def test_moves_match_binary_enumeration_exhaustively():
@@ -141,7 +248,8 @@ def test_store_successors_follow_moves_in_order():
 
 def test_search_interns_fewer_nodes_than_it_has_states():
     # a state is its root's key and is not interned; only subtrees are
-    scan, store, search = quotient._scan(KOCK16.lhs, 2000)
+    store, root = quotient._rooted(KOCK16.lhs)
+    scan, search = quotient._scan(KOCK16.lhs, 2000, store, root)
     assert not scan.exhausted
     assert len(store) == len(store.keys) < len(search.parents)
     assert all(not is_leaf(s) and s not in store for s in search.parents)
@@ -249,8 +357,6 @@ def test_expand_move_produces_replayable_segments():
         move, expected = rng.choice(moves)
         steps, v = expand_move(u, move)
         assert v == expected
-        from medial.assoc import right_comb
-
         cert = certificate_from_path(right_comb(u), steps)
         assert cert.final == right_comb(v)
         assert sum(1 for s in steps if s.rule == INTERCHANGE) == 1
@@ -262,14 +368,16 @@ def test_expand_path_rejects_a_broken_chain():
     u = to_alternating(t)
     (m1, v1), (m2, _) = list(alt_successors(u))[:2]
     (m3, w), *_ = alt_successors(v1)
-    cert = certificate_from_path(t, expand_path(t, [(u, m1), (v1, m3)]))
+    store = _Store()
+    u, v1 = store.state(right_comb(u)), store.state(right_comb(v1))
+    cert = certificate_from_path(t, expand_path(store, t, [(u, m1), (v1, m3)]))
     assert cert.final == right_comb(w)
     # the second move is taken at u again, not where the first one led
     with pytest.raises(RewriteError):
-        expand_path(t, [(u, m1), (u, m2)])
+        expand_path(store, t, [(u, m1), (u, m2)])
     # the first move is not taken at t's own alternating form
     with pytest.raises(RewriteError):
-        expand_path(t, [(v1, m3)])
+        expand_path(store, t, [(v1, m3)])
 
 
 def test_a_certificate_that_misses_its_target_is_an_error(monkeypatch):
@@ -277,11 +385,43 @@ def test_a_certificate_that_misses_its_target_is_an_error(monkeypatch):
     # an explicit check, not an assert, so that python -O keeps it
     from medial import quotient
 
-    monkeypatch.setattr(quotient, "expand_path", lambda t, chain: expand_path(t, chain[:-1]))
+    monkeypatch.setattr(
+        quotient, "expand_path", lambda store, t, chain: expand_path(store, t, chain[:-1])
+    )
     with pytest.raises(RewriteError):
         find_commutations(CONFIG_A.lhs)
     with pytest.raises(RewriteError):
         check_equivalence(BM9.lhs, BM9.rhs)
+
+
+def test_a_move_that_misses_its_landing_is_an_error(monkeypatch):
+    # closed-form steps short of their last rotation out of the redex leave
+    # the running comb off the next traced state's comb; no certificate may
+    # come of them
+    steps = quotient._move_steps
+    landings = []
+
+    def short(keys, state, move):
+        out = steps(keys, state, move)
+        if out[-1].rule != INTERCHANGE:
+            del out[-1]
+        return out
+
+    def checked(store, t, chain):
+        try:
+            return expand_path(store, t, chain)
+        except RewriteError as exc:
+            landings.append(str(exc))
+            raise
+
+    monkeypatch.setattr(quotient, "_move_steps", short)
+    monkeypatch.setattr(quotient, "expand_path", checked)
+    with pytest.raises(RewriteError):
+        find_commutations(CONFIG_A.lhs)
+    with pytest.raises(RewriteError):
+        check_equivalence(BM9.lhs, BM9.rhs)
+    assert len(landings) == 2
+    assert all(e.endswith("does not start where the chain stands") for e in landings)
 
 
 def test_check_equivalence_reflexive():
@@ -356,7 +496,7 @@ def _plain_check_equivalence(t1, t2, budget=DEFAULT_BUDGET):
     store = _Store()
     u1, u2 = store.state(t1), store.state(t2)
     if u1 == u2:
-        return EquivalenceResult(quotient._certificate(t1, [], t2, []), False, 0)
+        return EquivalenceResult(quotient._certificate(store, t1, [], t2, []), False, 0)
     sides = (Frontier(store.neighbours, u1), Frontier(store.neighbours, u2))
 
     def expanded():
@@ -371,7 +511,7 @@ def _plain_check_equivalence(t1, t2, budget=DEFAULT_BUDGET):
             for nxt in mine.expand():
                 if nxt in other.parents:
                     fwd, bwd = (quotient._trace(store, s, nxt) for s in sides)
-                    cert = quotient._certificate(t1, fwd, t2, bwd)
+                    cert = quotient._certificate(store, t1, fwd, t2, bwd)
                     return EquivalenceResult(cert, False, expanded())
     return EquivalenceResult(None, True, expanded())
 
@@ -639,7 +779,9 @@ def test_scan_monomials_searches_each_component_once(n, searches, monkeypatch):
     # no class to arity 8 has a witness, so one search per component
     searched = []
     scan = quotient._scan
-    monkeypatch.setattr(quotient, "_scan", lambda t, budget: searched.append(t) or scan(t, budget))
+    monkeypatch.setattr(
+        quotient, "_scan", lambda t, budget, *rooted: searched.append(t) or scan(t, budget, *rooted)
+    )
     list(scan_monomials(_search_candidates(n)))
     assert len(searched) == searches
 
