@@ -211,6 +211,9 @@ def cmd_search(args) -> int:
     if args.monomial and args.arity is not None:
         print("error: give --arity or --monomial, not both", file=sys.stderr)
         return USAGE
+    if args.min_interior < 0:
+        print(f"error: --min-interior must be at least 0, got {args.min_interior}", file=sys.stderr)
+        return USAGE
     try:
         slices = None if args.slices is None else _slice_bounds(args.slices)
         if args.monomial:

@@ -7,10 +7,10 @@ and a two-way split of each child's list.  Searching over alternating trees
 with these moves explores exactly the joint rewrite closure while skipping
 the associativity churn, which keeps the big equivalence checks tractable.
 
-Each public search call builds one hash-consing store (Goto 1974;
-Filliatre and Conchon, "Type-safe modular hash-consing", 2006) and drops
-it on return; nothing is cached between calls.  The store interns only
-subtrees; a search state is the flat key of its root.
+Each public search call, ``scan_monomials``' whole run included, builds one
+hash-consing store (Goto 1974; Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006) and drops it on return; nothing is cached between
+calls.  The store interns only subtrees; a state is its root's flat key.
 
 * A leaf stays its label, an int >= 0.  A node below the root is a
   negative int id, interned on the key ``(op, child, ...)`` of its child
@@ -60,9 +60,9 @@ either runs dry, which proves the sides distinct: that side holds its whole
 class, so it would have met the other root (Pohl 1971).  A frontier maps
 each state to the state that discovered it and records no move.  Only the
 traced path of a result is spelled out (``_trace``): the move from a parent
-to a state is ``move(parent, neighbours(parent).index(state))``, because a
-state is discovered at its first place in its parent's list.  A traced chain
-is a list of (state key, move); no state on it becomes nested tuples.
+to a state is ``move_to(parent, state)``, the move at the state's first place
+in its parent's list, where it was discovered.  A traced chain is a list of
+(state key, move); no state on it becomes nested tuples.
 
 Every relation ``medial verify`` proves is a pair (t, sigma(t)), one monomial
 and itself with its arguments permuted.  When ``check_equivalence``'s two
@@ -72,8 +72,8 @@ frontier is sigma applied to the first: its k-th expansion discovers the
 sigma-images of what the first side's k-th expansion discovered, in the same
 order.  ``_Mirror`` replays it so, and the kernel never runs on the second
 side.  The first side logs each expansion's discoveries; the second
-consumes the log as it goes and maps each state through a memoized map
-from node ids to the ids of their images, interned in the same store.  The
+consumes the log as it goes and maps each state through sigma, a memoized
+``_Relabel`` (node ids to the ids of their images, in the same store).  The
 second side never leads: ties go to the first, and mirrored sides have
 equal level sizes, so a run is always logged before it is replayed, and a
 missing run is a ``RewriteError``.  A result's chains are traced with the
@@ -111,9 +111,10 @@ equality in a DIS, so a monomial whose unlabelled shape lies in an earlier
 monomial's class has a class that is a relabelling of the earlier one: the
 same size, so the same ``exhausted``, ``expanded`` and ``class_size``, and a
 conjugate group of commutations.  A class exhausted without witnesses has
-the trivial group, and so does every relabelling of it; its scan is reused.
-A class with witnesses, or one the budget cut short, is searched again for
-each monomial.
+the trivial group, and so does every relabelling of it; its scan is reused,
+found by a state's shape key, its image under the ``_Relabel`` that sends
+every label to 0.  A class with witnesses, or one the budget cut short, is
+searched again for each monomial.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .assoc import AltTree, comb, right_comb
 from .rewrite import (
@@ -355,6 +356,11 @@ class _Store(dict):
             k -= size
         raise IndexError("move index out of range")
 
+    def move_to(self, key: State, state: State) -> Move:
+        """The move from the state ``key`` to its neighbour ``state``, at its
+        first place in ``neighbours(key)``; ValueError if none leads there."""
+        return self.move(key, self.neighbours(key).index(state))
+
 
 def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
     """All single-interchange neighbours of an alternating tree."""
@@ -471,10 +477,7 @@ class EquivalenceResult:
 def _trace(store: _Store, search: Frontier, state: State) -> Chain:
     """Chain from the search's root to ``state``.  A state was discovered at
     its first place in its parent's successor list, so that place names the move."""
-    return [
-        (parent, store.move(parent, store.neighbours(parent).index(child)))
-        for parent, child in pairwise(search.path(state))
-    ]
+    return [(u, store.move_to(u, v)) for u, v in pairwise(search.path(state))]
 
 
 def _certificate(store: _Store, t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
@@ -488,30 +491,37 @@ def _certificate(store: _Store, t1: Tree, chain1: Chain, t2: Tree, chain2: Chain
     return cert
 
 
-class _Mirror(dict):
-    """The relabelling sigma on the states of one store, and the replay of a
-    search from ``sigma(root)`` off the discoveries of a search from ``root``;
-    see the module docstring.
+class _Relabel(dict):
+    """The relabelling sigma on the states of one store: each operation to
+    itself, each label to its image and, through ``__missing__``, each node
+    id to the id of its image, interned in the same store on first use.
+    With every label sent to 0 the image is the unlabelled shape."""
 
-    Maps each operation to itself, each label to its image and, through
-    ``__missing__``, each node id to the id of its image, interned on
-    first use.  ``log`` holds the states the search from ``root``
-    discovered and the replay has not yet consumed, expansion by expansion,
-    each run ended by ``None``.  One flat deque, because a list per
-    expansion raised the traced peak of kock16's check by 1.06 MB, and the
-    flat log by 0.09 MB."""
-
-    __slots__ = ("store", "log")
+    __slots__ = ("store",)
 
     def __init__(self, store: _Store, sigma: dict[int, int]) -> None:
-        super().__init__(sigma)
-        self.update({op: op for op in OPPOSITE})
+        super().__init__(sigma | {op: op for op in OPPOSITE})
         self.store = store
-        self.log: deque[State | None] = deque()
 
     def __missing__(self, n: int) -> int:
         image = self[n] = self.store[tuple(map(self.__getitem__, self.store.keys[~n]))]
         return image
+
+    def state(self, key: State) -> State:
+        """The image of a state, a flat key or a one-leaf label."""
+        return tuple(map(self.__getitem__, key)) if isinstance(key, tuple) else self[key]
+
+
+class _Mirror:
+    """The replay of a search from ``sigma(root)`` off the discoveries of a
+    search from ``root``; see the module docstring.  ``log`` holds the states
+    not yet replayed, each expansion's run ended by ``None``: one flat deque,
+    since a list per run raised the traced peak of kock16's check by 1.06 MB,
+    the flat log by 0.09 MB."""
+
+    def __init__(self, store: _Store, sigma: dict[int, int]) -> None:
+        self.sigma = _Relabel(store, sigma)
+        self.log: deque[State | None] = deque()
 
     def record(self, run: list[State]) -> None:
         """Log one expansion's discoveries, ended by ``None``."""
@@ -522,11 +532,11 @@ class _Mirror(dict):
         """The sigma-images of the oldest logged run; the expansion of ``state``
         discovers them, since ``state`` is the sigma-image of the state whose
         expansion logged that run."""
-        log, image, out = self.log, self.__getitem__, []
+        log, image, out = self.log, self.sigma.state, []
         if not log:
             raise RewriteError("the replayed side ran ahead of the side it mirrors")
         while (key := log.popleft()) is not None:
-            out.append(tuple(map(image, key)))
+            out.append(image(key))
         return out
 
 
@@ -639,32 +649,40 @@ def find_commutations(
 def scan_monomials(
     monomials: Iterable[Tree], budget: int = DEFAULT_BUDGET
 ) -> Iterator[CommutationScan]:
-    """``find_commutations(t, budget)`` for each monomial in turn.
+    """``find_commutations(t, budget)`` for each monomial in turn, in one store.
 
     A class that was exhausted without witnesses is remembered, for this
-    call only, by the unlabelled shapes of its states; a later monomial
-    with one of those shapes gets the same scan without a search.  The
-    monomials are consumed one at a time, as the scans are taken.
+    call only, by the shape keys of its states; a later monomial with one
+    of those shape keys gets the same scan without a search.  The monomials
+    are consumed one at a time, as the scans are taken.
     """
-    trivial: dict[AltTree, CommutationScan] = {}
+    store = _Store()
+    shape = _Relabel(store, {})
+    trivial: dict[State, CommutationScan] = {}
     for t in monomials:
-        store, root = _rooted(t)
-        scan = trivial.get(strip_labels(store.tree(root)))
+        leaves: list[int] = []
+        _, root = _rooted(t, store, leaves)
+        shape.update(dict.fromkeys(leaves, 0))
+        scan = trivial.get(shape.state(root))
         if scan is None:
             scan, search = _scan(t, budget, store, root)
             if scan.exhausted and not scan.witnesses:
                 for state in search.parents:
-                    trivial[strip_labels(store.tree(state))] = scan
+                    trivial[shape.state(state)] = scan
         yield scan
 
 
-def _rooted(t: Tree) -> tuple[_Store, State]:
-    """A new store and t's search state in it, on the one walk that checks
-    that t is binary with leaf labels 1..n (ValueError otherwise)."""
-    store = _Store()
-    leaves: list[int] = []
+def _rooted(
+    t: Tree, store: _Store | None = None, leaves: list[int] | None = None
+) -> tuple[_Store, State]:
+    """``store``, or a new store, and t's search state in it, on the one walk
+    that checks that t is binary with leaf labels 1..n (ValueError otherwise),
+    appending the labels to ``leaves`` when a list is given."""
+    store = _Store() if store is None else store
+    leaves = [] if leaves is None else leaves
     root = store.state(t, leaves)
-    _check_labels(leaves)
+    if sorted(leaves) != list(range(1, len(leaves) + 1)):
+        raise ValueError(f"leaf labels {tuple(leaves)} are not a permutation of 1..{len(leaves)}")
     return store, root
 
 
@@ -695,13 +713,6 @@ def _scan(t: Tree, budget: int, store: _Store, root: State) -> tuple[Commutation
         class_size=len(search.parents),
     )
     return scan, search
-
-
-def _check_labels(leaves: Sequence[int]) -> None:
-    """ValueError unless a monomial's leaf labels, ``leaves`` read left to
-    right, are 1..n, the arguments a witness permutes."""
-    if sorted(leaves) != list(range(1, len(leaves) + 1)):
-        raise ValueError(f"leaf labels {tuple(leaves)} are not a permutation of 1..{len(leaves)}")
 
 
 def _witnesses(t: Tree, found: Iterable, certify: Callable) -> tuple[CommutationWitness, ...]:

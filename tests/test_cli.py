@@ -391,6 +391,7 @@ def test_search_slices_computes_main_cuts_once_per_candidate(monkeypatch, capsys
         (["--arity", "3", "--slices=-1:3"], "--slices must be LO:HI"),
         (["--arity", "3", "--slices", "2"], "--slices must be LO:HI"),
         (["--arity", "4", "--monomial", "((a h b) v (c h d))"], "give --arity or --monomial"),
+        (["--arity", "5", "--min-interior", "-1"], "--min-interior must be at least 0, got -1"),
     ],
 )
 def test_search_usage_errors(argv, message, capsys):

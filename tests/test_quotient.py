@@ -268,9 +268,11 @@ def test_same_shape_agrees_with_stripped_trees():
     wide = store.from_binary((H, 1, (H, 2, 3)))
     pairs += [(node, node), (leaf, node), (node, leaf), (node, wide), (leaf, 2)]
     answers = set()
+    shape = quotient._Relabel(store, dict.fromkeys(range(1, 11), 0))
     for a, b in pairs:
         want = strip_labels(store.tree(a)) == strip_labels(store.tree(b))
         assert store.same_shape(a, b) == want
+        assert (shape.state(a) == shape.state(b)) == want
         answers.add(want)
     assert answers == {True, False}
     assert not store.same_shape(node, wide)
@@ -784,6 +786,20 @@ def test_scan_monomials_searches_each_component_once(n, searches, monkeypatch):
     )
     list(scan_monomials(_search_candidates(n)))
     assert len(searched) == searches
+
+
+def test_scan_monomials_builds_one_store(monkeypatch):
+    built = []
+
+    class CountingStore(_Store):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(quotient, "_Store", CountingStore)
+    monomials = _search_candidates(7)
+    assert len(list(scan_monomials(monomials))) == len(monomials) == 380
+    assert len(built) == 1
 
 
 def test_scan_monomials_is_find_commutations_on_a_census_draw():
