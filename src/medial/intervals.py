@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .geometry import ONE, ZERO, dyadic_level, format_dyadic, is_dyadic_fraction
-from .trees import bracketings
+from .trees import NESTING_LIMIT, bracketings
 
 # Association types as nested pairs: leaf = (), node = (left, right).
 Association = tuple
@@ -84,42 +84,47 @@ def association_types(letters: int) -> Iterator[Association]:
 
 
 def format_association(tree: Association, letters: str = "abcdefghij") -> str:
-    it = iter(letters)
+    """The bracketing written with ``letters`` in order, outer parentheses
+    dropped; ValueError if it has more leaves than there are letters."""
 
     def go(node: Association) -> str:
-        if node == ():
-            return next(it)
-        left, right = go(node[0]), go(node[1])
-        return f"({left}{right})"
+        return "{}" if node == () else f"({go(node[0])}{go(node[1])})"
 
     text = go(tree)
+    leaves = text.count("{}")
+    if leaves > len(letters):
+        raise ValueError(f"a bracketing of {leaves} leaves needs {leaves} letters, not {len(letters)}")
+    text = text.format(*letters)
     return text[1:-1] if text.startswith("(") else text
 
 
 def parse_association(text: str) -> Association:
-    """Parse bracketings like ``(ab)c`` or ``a(b(cd))``."""
+    """Parse bracketings like ``(ab)c`` or ``a(b(cd))``; ValueError on
+    nesting deeper than ``trees.NESTING_LIMIT``, as ``parse_monomial``."""
     pos = 0
 
-    def parse_atom() -> Association:
+    def parse_atom(depth: int) -> Association:
         nonlocal pos
         if pos >= len(text):
             raise ValueError("unexpected end of input")
         c = text[pos]
         if c == "(":
+            if depth == NESTING_LIMIT:
+                raise ValueError(f"nesting deeper than {NESTING_LIMIT} levels at {pos}")
             pos += 1
-            node = parse_product(closing=True)
-            return node
+            return parse_product(depth + 1)
         if c.isalnum():
             pos += 1
             return ()
         raise ValueError(f"unexpected character {c!r} at {pos}")
 
-    def parse_product(closing: bool) -> Association:
+    def parse_product(depth: int) -> Association:
+        """The product at ``depth``, closed by its ')' unless at the top."""
         nonlocal pos
-        factors = [parse_atom()]
+        factors = [parse_atom(depth)]
         while pos < len(text) and text[pos] != ")":
-            factors.append(parse_atom())
-        if closing:
+            factors.append(parse_atom(depth))
+        if depth:
             if pos >= len(text) or text[pos] != ")":
                 raise ValueError("missing ')'")
             pos += 1
@@ -129,7 +134,7 @@ def parse_association(text: str) -> Association:
             raise ValueError("products must be fully parenthesized (binary)")
         return (factors[0], factors[1])
 
-    out = parse_product(closing=False)
+    out = parse_product(0)
     if pos != len(text):
         raise ValueError(f"trailing input at {pos}")
     return out

@@ -88,14 +88,14 @@ Outside the store a move has one meaning, the binary interchange it stands
 for.  ``_move_steps`` writes it as binary steps, from the right comb of the
 state to the right comb of the next, in closed form from the widths in the
 store's keys: rotations into a representative that holds the redex, the
-interchange, rotations out.  ``expand_path`` replays them on the running
+interchange, rotations out.  ``expand_path`` applies them to the running
 right comb and, at each move, checks that comb against the right comb of
 the state the move is taken at, built from the store's keys and memoized by
 node id for the call, so a wrong step raises instead of becoming a
-certificate; ``certificate_from_path`` replays the whole proof once more,
-and ``_certificate`` checks that it ends at its target.  The tests keep a
-tree-walking expansion as the oracle; the two agree on every move of every
-alternating tree to arity 8.
+certificate, and returns the certificate it walked.  ``_certificate`` joins
+two walks that end on the same comb, one inverted, without applying a step
+again.  The tests keep a tree-walking expansion as the oracle; the two agree
+on every move of every alternating tree to arity 8.
 
 ``find_commutations`` has two engines, the interchange search ``_scan`` and,
 under fewer rule families, a binary closure.  Both hand their same-shape
@@ -137,7 +137,6 @@ from .rewrite import (
     RewriteError,
     RewriteStep,
     apply_redex,
-    certificate_from_path,
     closure,
     comb_steps,
 )
@@ -425,14 +424,14 @@ def _move_steps(keys: list[tuple], state: tuple, move: Move) -> list[RewriteStep
     return steps
 
 
-def expand_path(store: _Store, t_start: Tree, chain: Chain) -> tuple[RewriteStep, ...]:
-    """Binary steps from ``t_start`` through a chain of quotient moves.
+def expand_path(store: _Store, t_start: Tree, chain: Chain) -> Certificate:
+    """The certificate from ``t_start`` through a chain of quotient moves.
 
     ``chain`` lists (state, move taken there) in order, each state a key of
-    ``store``.  The steps are replayed on the running right comb, which at
-    each move must be the right comb of the state the move is taken at: the
-    state of ``t_start``, then the one the move before it led to.
-    """
+    ``store``.  Each step is applied once, to the running right comb, which
+    at each move must be the right comb of the state the move is taken at:
+    the state of ``t_start``, then the one the move before it led to.  The
+    comb the walk ends on is the certificate's ``final``."""
     keys = store.keys
     combs: dict[int, Tree] = {}  # right comb of each node id met
 
@@ -456,7 +455,7 @@ def expand_path(store: _Store, t_start: Tree, chain: Chain) -> tuple[RewriteStep
         for step in _move_steps(keys, state, move):
             at = apply_redex(at, step)
             steps.append(step)
-    return tuple(steps)
+    return Certificate(t_start, tuple(steps), at)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +481,12 @@ def _trace(store: _Store, search: Frontier, state: State) -> Chain:
 
 def _certificate(store: _Store, t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
     """Certificate from ``t1`` along ``chain1``, then back along ``chain2``
-    to ``t2``, both chains of ``store``'s states; a chain that does not end
-    where the other does is an error."""
+    to ``t2``, both chains of ``store``'s states: the two ``expand_path``
+    walks joined, no step applied again; walks ending apart are an error."""
     fwd, bwd = expand_path(store, t1, chain1), expand_path(store, t2, chain2)
-    cert = certificate_from_path(t1, fwd + tuple(s.inverted() for s in reversed(bwd)))
-    if cert.final != t2:
+    if fwd.final != bwd.final:
         raise RewriteError("the traced chains do not meet")
-    return cert
+    return Certificate(t1, fwd.steps + bwd.inverted().steps, t2)
 
 
 class _Relabel(dict):
@@ -504,6 +502,8 @@ class _Relabel(dict):
         self.store = store
 
     def __missing__(self, n: int) -> int:
+        if n >= 0:  # a label sigma does not map
+            raise KeyError(n)
         image = self[n] = self.store[tuple(map(self.__getitem__, self.store.keys[~n]))]
         return image
 
@@ -739,7 +739,7 @@ def _find_commutations_binary(
     shape = strip_labels(t)
     found = ((m, m) for m in result.search.parents if m != t and strip_labels(m) == shape)
     return CommutationScan(
-        witnesses=_witnesses(t, found, lambda m, _: certificate_from_path(t, result.path_to(m))),
+        witnesses=_witnesses(t, found, lambda m, _: Certificate(t, tuple(result.path_to(m)), m)),
         exhausted=result.exhausted,
         expanded=result.expanded,
         class_size=len(result.members),

@@ -16,6 +16,7 @@ from medial.intervals import (
     thompson_map,
     tree_parent,
 )
+from medial.trees import NESTING_LIMIT
 
 # Bracketings of up to five letters with their bisection records; the
 # fractions are the tick positions of the reference interval diagrams.
@@ -100,6 +101,27 @@ def test_association_types_order_is_pinned():
 def test_format_parse_association():
     assert format_association(parse_association("(ab)c")) == "(ab)c"
     assert parse_association("a(b(cd))") == ((), ((), ((), ())))
+
+
+def test_parse_association_refuses_nesting_past_the_limit():
+    def comb(depth):
+        text = "ab"
+        for _ in range(depth):
+            text = f"a({text})"
+        return text
+
+    tree = parse_association(comb(NESTING_LIMIT))
+    assert len(association_to_sequence(tree)) == NESTING_LIMIT + 1
+    for depth in (NESTING_LIMIT + 1, 500):
+        with pytest.raises(ValueError, match=f"nesting deeper than {NESTING_LIMIT} levels"):
+            parse_association(comb(depth))
+
+
+def test_format_association_needs_a_letter_per_leaf():
+    eleven = parse_association("a(b(c(d(e(f(g(h(i(jk)))))))))")
+    assert format_association(eleven, "abcdefghijk") == "a(b(c(d(e(f(g(h(i(jk)))))))))"
+    with pytest.raises(ValueError, match="a bracketing of 11 leaves needs 11 letters, not 10"):
+        format_association(eleven)
 
 
 def test_thompson_identity():

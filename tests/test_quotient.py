@@ -5,7 +5,7 @@ import re
 from itertools import islice, tee
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medial import quotient
@@ -279,6 +279,16 @@ def test_same_shape_agrees_with_stripped_trees():
     assert store.same_shape(node, node) and store.same_shape(leaf, 2)
 
 
+def test_relabel_refuses_a_label_sigma_does_not_map():
+    # configA's label 10 is missing from sigma; it is not the node id ~10
+    store = _Store()
+    state = store.state(CONFIG_A.lhs)
+    with pytest.raises(KeyError):
+        quotient._Relabel(store, dict.fromkeys(range(1, 10), 0)).state(state)
+    shape = quotient._Relabel(store, dict.fromkeys(range(1, 11), 0)).state(state)
+    assert store.tree(shape) == strip_labels(CONFIG_A.lhs)  # configA's lhs is alternating
+
+
 def test_search_counts_are_pinned():
     # the breadth-first order decides these counts and the certificates
     expanded = {KOCK16: 35428, BM9: 125, CONFIG_B: 324, CASE2: 291}
@@ -372,7 +382,7 @@ def test_expand_path_rejects_a_broken_chain():
     (m3, w), *_ = alt_successors(v1)
     store = _Store()
     u, v1 = store.state(right_comb(u)), store.state(right_comb(v1))
-    cert = certificate_from_path(t, expand_path(store, t, [(u, m1), (v1, m3)]))
+    cert = expand_path(store, t, [(u, m1), (v1, m3)])
     assert cert.final == right_comb(w)
     # the second move is taken at u again, not where the first one led
     with pytest.raises(RewriteError):
@@ -424,6 +434,27 @@ def test_a_move_that_misses_its_landing_is_an_error(monkeypatch):
         check_equivalence(BM9.lhs, BM9.rhs)
     assert len(landings) == 2
     assert all(e.endswith("does not start where the chain stands") for e in landings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(random_shape, st.integers(3, 8), st.randoms(use_true_random=False)),
+    st.randoms(use_true_random=False),
+)
+@example(BM9.lhs, random.Random(9))
+def test_written_certificates_replay(t, rng):
+    # expand_path applies each step once, as it writes it, and nothing
+    # replays the result before it is returned; an independent replay does
+    # here.  No class to arity 8 has a witness, so BM9 stands in for them
+    for families in (None, INTERCHANGE_ONLY):
+        for w in find_commutations(t, families=families):
+            cert = w.certificate
+            assert (cert.initial, cert.final) == (t, relabel(t, dict(enumerate(w.permutation, 1))))
+            assert replay_certificate(cert)
+    m = rng.choice(sorted(closure(t, budget=200).members, key=str))
+    cert = check_equivalence(t, m).certificate
+    assert (cert.initial, cert.final) == (t, m)
+    assert replay_certificate(cert)
 
 
 def test_check_equivalence_reflexive():
