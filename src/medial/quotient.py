@@ -32,18 +32,26 @@ calls.  The store interns only subtrees; a state is its root's flat key.
   states far outnumber the subtrees they share.  A child result that
   collapsed onto the node's own operation is spliced into the node, as
   flattening the binary interchange does.
-* A local move regroups two adjacent children, each split in two.  Each
-  split comes twice from ``_splits``: its halves prefixed with the new
-  node's operation, for the left child of the pair, and bare, for the
-  right one, so a new key is one concatenation ``p + r``.  A child whose
-  list is empty is skipped before any slicing, and a lifted key is
-  ``head + (c,) + tail``.  The opposite operation is read from
+* A local move regroups two adjacent children, each split in two.
+  ``_splits(n, bare)`` lists a child's splits for the side of the pair it
+  is on: halves prefixed with the new node's operation for the left
+  child, bare for the right one, so a new key is one concatenation
+  ``p + r``; a child of width two has one split and skips the loop.  A
+  child whose list is empty is skipped before any slicing, and a lifted
+  key is ``head + (c,) + tail``.  The opposite operation is read from
   ``trees.OPPOSITE``.
-* The kernel keeps no per-node state beyond ``memo``.  Two caches were
-  measured and left out: memoizing ``_splits`` per node raised the
-  ``prove`` benchmark's peak RSS from 46.3 to 61.1 MB (+32 %) for no
-  visible ``census9`` gain, and a dict of the 256 most recent splits,
-  cleared when full, left ``census9`` and the kock16 check where they were.
+* A state of width two, 84 % of ``census9``'s states and 92 % of kock16's,
+  takes a direct path: when both children are nodes of width two the
+  interchange is written out from the four grandchildren, and a move
+  inside a child is placed without slicing the key.  Its list is the one
+  the general loop would make, in the same order.
+* The kernel keeps no per-node state beyond ``memo``.  Measured and left
+  out: a memo of each node's splits (``prove`` peak RSS 38.3 to 49.1 MB,
+  +28 %, for 2 % less wall time); a memo of pair moves keyed by the pair
+  (``census9`` 1.29 to 1.47 s; within one store only 10 to 17 % of pair
+  moves repeat a pair); one store shared by ``census9``'s 4,096 calls
+  (1.12-1.22 to 1.27-1.31 s in process, 24.7 to 68.7 MB); and subtrees
+  with no moves flagged when interned (about 2 % less, within noise).
 * ``_Store`` is the only code that enumerates moves.  ``neighbours(key)``
   lists first the local moves of each adjacent pair of non-leaf children,
   pair by pair, split by split, then the moves inside each child, from the
@@ -186,27 +194,27 @@ class _Store(dict):
     def state(self, t: Tree, leaves: list[int] | None = None) -> State:
         """``from_binary`` without interning the root: the search state of
         ``t``, the flat key of its root, or a leaf alone.  ValueError on the
-        first node met that does not have two children."""
+        first node met that does not have two children, and on the first
+        leaf that is not an int >= 0, which the store would misread."""
         if leaves is None:
             leaves = []
-        if is_leaf(t):
-            leaves.append(t)
-            return t
-        op = t[0]
+        op = t[0] if isinstance(t, tuple) else None  # None: a one-leaf monomial
         parts: list[int] = []
         stack = [t]
         while stack:
             sub = stack.pop()
-            if is_leaf(sub):
+            if is_leaf(sub) and sub >= 0:
                 parts.append(sub)
                 leaves.append(sub)
+            elif not isinstance(sub, tuple):
+                raise ValueError(f"leaf {sub!r} is not an int >= 0")
             elif len(sub) != 3:
                 raise ValueError(f"a {sub[0]} node with {len(sub) - 1} children is not binary")
             elif sub[0] == op:
                 stack += sub[:0:-1]
             else:
                 parts.append(self.from_binary(sub, leaves))
-        return (op, *parts)
+        return parts[0] if op is None else (op, *parts)
 
     def tree(self, n: State) -> AltTree:
         """The nested tuples of a state, a node id or a leaf."""
@@ -245,38 +253,33 @@ class _Store(dict):
                     return False
         return True
 
-    def _splits(self, n: int) -> tuple[list[tuple[tuple, tuple]], list[tuple[tuple, tuple]]]:
+    def _splits(self, n: int, bare: bool) -> list[tuple[tuple, tuple]]:
         """For k = 1, 2, ...: the first k children of node ``n`` and the
         rest, each as the children it brings to a node of the opposite
         operation.  A lone leaf brings itself, a lone node (which carries
         that operation) its own children, and several children one node
         grouping them under ``n``'s operation.
 
-        Returned twice: once with each half prefixed by the opposite
-        operation, for ``n`` on the left of a pair, and once bare, for
-        ``n`` on the right, so that a new key is one concatenation."""
+        Without ``bare`` each half is prefixed by the opposite operation,
+        for ``n`` on the left of a pair; with it the halves are bare, for
+        ``n`` on the right; so a new key is one concatenation.  A node of
+        width two has one split, its two children."""
         keys, index = self.keys, self
         key = keys[~n]
         op, first, last = key[0], key[1], key[-1]
         opp = OPPOSITE[op]
-        end = len(key) - 1
-        first_alone = keys[~first] if first < 0 else (opp, first)
-        last_alone = keys[~last] if last < 0 else (opp, last)
-        lefts, rights = [], []
-        for k in range(2, len(key)):
-            if k == 2:
-                p, r = first_alone, first_alone[1:]
-            else:
-                g = index[key[:k]]
-                p, r = (opp, g), (g,)
-            if k == end:
-                q, s = last_alone, last_alone[1:]
-            else:
-                g = index[(op,) + key[k:]]
-                q, s = (opp, g), (g,)
-            lefts.append((p, q))
-            rights.append((r, s))
-        return lefts, rights
+        first = keys[~first] if first < 0 else (opp, first)
+        last = keys[~last] if last < 0 else (opp, last)
+        if bare:
+            first, last = first[1:], last[1:]
+        if len(key) == 3:
+            return [(first, last)]
+        pre = () if bare else (opp,)
+        out = [(first, pre + (index[(op,) + key[2:]],))]
+        for k in range(3, len(key) - 1):
+            out.append((pre + (index[key[:k]],), pre + (index[(op,) + key[k:]],)))
+        out.append((pre + (index[key[:-1]],), last))
+        return out
 
     def neighbours(self, key: State, intern: bool = False) -> list:
         """The state of every single-interchange neighbour of the state
@@ -286,30 +289,65 @@ class _Store(dict):
         The lists of the state's subtrees are memoized as ids; its own is
         not.  Interning as each key is made, rather than in a second pass,
         keeps small searches, whose subtrees' lists outnumber their states'
-        two to one, as fast as when every state was interned.
+        two to one, as fast as when every state was interned.  A key of
+        width two, most of them, takes a direct path that makes the same
+        list as the general loops: the pair move, then the moves inside
+        child 2, then those inside child 1.
         """
         if isinstance(key, int):  # a one-leaf state
             return []
         index, keys, memo = self, self.keys, self.memo
         op = key[0]
         opp = OPPOSITE[op]
-        wide = len(key) > 3
         out: list[State] = []
-        # moves on the children at key positions i and i+1; a child's
-        # splits serve both its pairs
-        b_splits = None
+        if len(key) == 3:
+            # two children, most states: the same moves without slicing
+            _, a, b = key
+            if a < 0 and b < 0:
+                ka, kb = keys[~a], keys[~b]
+                if len(ka) == len(kb) == 3:
+                    # (op, (opp, a1, a2), (opp, b1, b2)) becomes
+                    # (opp, (op, a1, b1), (op, a2, b2)); a grandchild that
+                    # carries op is spliced in
+                    _, a1, a2 = ka
+                    _, b1, b2 = kb
+                    x = (keys[~a1] if a1 < 0 else (op, a1)) + (keys[~b1][1:] if b1 < 0 else (b1,))
+                    y = (keys[~a2] if a2 < 0 else (op, a2)) + (keys[~b2][1:] if b2 < 0 else (b2,))
+                    new = (opp, index[x], index[y])
+                    out.append(index[new] if intern else new)
+                else:
+                    lefts, rights = self._splits(a, False), self._splits(b, True)
+                    for p, q in lefts:
+                        for r, s in rights:
+                            new = (opp, index[p + r], index[q + s])
+                            out.append(index[new] if intern else new)
+            if b < 0:
+                sub = memo[~b]
+                if sub is None:
+                    sub = memo[~b] = self.neighbours(keys[~b], True)
+                for c in sub:
+                    ckey = keys[~c]
+                    new = (op, a) + ckey[1:] if ckey[0] == op else (op, a, c)
+                    out.append(index[new] if intern else new)
+            if a < 0:
+                sub = memo[~a]
+                if sub is None:
+                    sub = memo[~a] = self.neighbours(keys[~a], True)
+                for c in sub:
+                    ckey = keys[~c]
+                    new = (op,) + ckey[1:] + (b,) if ckey[0] == op else (op, c, b)
+                    out.append(index[new] if intern else new)
+            return out
+        # moves on the children at key positions i and i+1
         for i in range(1, len(key) - 1):
             if key[i] < 0 and key[i + 1] < 0:
-                lefts = b_splits[0] if b_splits else self._splits(key[i])[0]
-                b_splits = self._splits(key[i + 1])
+                lefts, rights = self._splits(key[i], False), self._splits(key[i + 1], True)
                 head, tail = key[:i], key[i + 2 :]
                 for p, q in lefts:
-                    for r, s in b_splits[1]:
+                    for r, s in rights:
                         pair = (opp, index[p + r], index[q + s])
-                        new = head + (index[pair],) + tail if wide else pair
+                        new = head + (index[pair],) + tail
                         out.append(index[new] if intern else new)
-            else:
-                b_splits = None
         # moves inside the child at key position j, placed in this node
         for j in range(len(key) - 1, 0, -1):
             child = key[j]

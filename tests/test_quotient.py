@@ -49,6 +49,7 @@ from medial.rewrite import (
 from medial.trees import (
     H,
     V,
+    _map_leaves,
     enumerate_shapes,
     is_leaf,
     leaf_labels,
@@ -223,6 +224,23 @@ def test_moves_match_tuple_enumeration_in_order():
     for a in enumerate_alternating(6):
         stripped = strip_labels(a)
         assert list(alt_successors(stripped)) == list(_tuple_alt_successors(stripped))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 12), st.sampled_from((H, V)), st.randoms(use_true_random=False))
+def test_moves_match_tuple_enumeration_in_order_to_arity_12(n, op, rng):
+    # past the exhaustive test's arity 8: the drawn tree, then up to three
+    # trees a random walk of moves reaches, all in one store
+    store = _Store()
+    a = _random_alternating(n, op, rng)
+    for _ in range(4):
+        want = list(_tuple_alt_successors(a))
+        assert list(alt_successors(a)) == want
+        got = store.neighbours(store.state(right_comb(a)))
+        assert [store.tree(k) for k in got] == [v for _, v in want]
+        if not want:
+            break
+        a = rng.choice(want)[1]
 
 
 def test_store_successors_follow_moves_in_order():
@@ -515,6 +533,46 @@ def test_check_equivalence_validates_arguments():
         check_equivalence((H, 1, 2), (H, (V, 1, 2), 3))
     with pytest.raises(ValueError):
         check_equivalence((H, 1, 2), relabel((H, 1, 2), {2: 3}))
+
+
+@pytest.mark.parametrize(
+    "t1, t2, leaf",
+    [
+        ((H, -1, 2), (H, 2, -1), "-1"),
+        # the medial law, which the binary closure proves in one step
+        ((H, (V, -1, -2), (V, -3, -4)), (V, (H, -1, -3), (H, -2, -4)), "-1"),
+        ((H, 1.5, 2), (H, 2, 1.5), "1.5"),
+    ],
+    ids=["negative", "medial-negative", "float"],
+)
+def test_check_equivalence_refuses_leaves_the_store_cannot_hold(t1, t2, leaf):
+    # a node id is a negative int, so a negative or non-int label would be
+    # misread as one
+    with pytest.raises(ValueError, match=f"^leaf {re.escape(leaf)} is not an int >= 0$"):
+        check_equivalence(t1, t2)
+
+
+_labelled_trees = st.recursive(
+    st.integers(-3, 10),
+    lambda kids: st.builds(
+        lambda op, cs: (op, *cs), st.sampled_from((H, V)), st.lists(kids, min_size=1, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_trees, st.randoms(use_true_random=False))
+def test_check_equivalence_returns_or_refuses_any_labelled_tree(t, rng):
+    # nodes of one to three children, labels that may be negative or
+    # repeated: a result, or a ValueError before any search
+    labels = list(leaf_labels(t))
+    rng.shuffle(labels)
+    shuffled = iter(labels)
+    try:
+        check_equivalence(t, _map_leaves(t, lambda _: next(shuffled)), budget=500)
+    except ValueError:
+        pass
 
 
 def test_bm9_equivalence_and_certificate():
