@@ -8,7 +8,8 @@ sorted by (x1, y1).  Everything medial builds is dyadic, so there ``den``
 is a power of two; a partition a caller builds may use any denominator.
 One function bisects a window of cells, ``_halves``; its midpoint test
 compares doubled coordinates (``2 * x1 < a + b``), which keeps it in
-integers.  One function scales and moves cells, ``_placed``.
+integers.  One function scales and moves cells, ``_placed``, and one
+function brings cells to lowest terms, ``_reduced``.
 
 Values go in and come out as ``fractions.Fraction``: ``Rect``, the one box
 type (a ``Block`` is a ``Rect`` with a label), and ``Cut`` carry Fractions,
@@ -243,8 +244,9 @@ def _validate(den: int, cells: list[tuple]) -> None:
 
 
 def _trusted(den: int, cells) -> BlockPartition:
-    """A partition from cells that are valid by construction and in lowest
-    terms over ``den``; no checks run."""
+    """A partition from cells that are valid by construction and already in
+    lowest terms over ``den``: the unit square, a relabelling or a
+    reflection of a partition, or ``_reduced``'s output; no checks run."""
     p = BlockPartition.__new__(BlockPartition)
     p.__dict__.update(den=den, cells=tuple(sorted(cells, key=_corner)))
     return p
@@ -295,40 +297,29 @@ def vjoin(p: BlockPartition, q: BlockPartition) -> BlockPartition:
     return _join(p, q, Y_AXIS)
 
 
-def _cut_depths(t: Tree) -> tuple[int, int]:
-    """The most h nodes, and the most v nodes, on one root-to-leaf path."""
-    if is_leaf(t):
-        return 0, 0
-    h1, v1 = _cut_depths(t[1])
-    h2, v2 = _cut_depths(t[2])
-    if t[0] == trees.H:
-        return max(h1, h2) + 1, max(v1, v2)
-    return max(h1, h2), max(v1, v2) + 1
-
-
 def realize(t: Tree) -> BlockPartition:
     """Geometric realization of a binary monomial: h joins east, v joins
-    north, labels from leaves."""
-    # On a 2^d grid, d the larger cut depth, every split is integral, and
-    # the deepest split on that axis lands on an odd coordinate, so the
-    # grid is already in lowest terms.
-    den = 1 << max(_cut_depths(t))
-    cells: list[tuple] = []
+    north, labels from leaves.  A leaf k deep is placed on the 2^k grid, then
+    all on the deepest leaf's grid, which ``_reduced`` takes to lowest terms."""
+    placed: list[tuple[int, tuple]] = []  # (k, cell over 2^k)
 
-    def place(node: Tree, x1: int, x2: int, y1: int, y2: int) -> None:
+    def place(node: Tree, k: int, x1: int, x2: int, y1: int, y2: int) -> None:
         if is_leaf(node):
-            cells.append((x1, x2, y1, y2, node))
+            placed.append((k, (x1, x2, y1, y2, node)))
         elif node[0] == trees.H:
-            mid = (x1 + x2) // 2
-            place(node[1], x1, mid, y1, y2)
-            place(node[2], mid, x2, y1, y2)
+            place(node[1], k + 1, 2 * x1, x1 + x2, 2 * y1, 2 * y2)
+            place(node[2], k + 1, x1 + x2, 2 * x2, 2 * y1, 2 * y2)
         else:
-            mid = (y1 + y2) // 2
-            place(node[1], x1, x2, y1, mid)
-            place(node[2], x1, x2, mid, y2)
+            place(node[1], k + 1, 2 * x1, 2 * x2, 2 * y1, y1 + y2)
+            place(node[2], k + 1, 2 * x1, 2 * x2, y1 + y2, 2 * y2)
 
-    place(t, 0, den, 0, den)
-    return _trusted(den, cells)
+    place(t, 0, 0, 1, 0, 1)
+    depth = max(k for k, _ in placed)
+    cells = [
+        (x1 << depth - k, x2 << depth - k, y1 << depth - k, y2 << depth - k, label)
+        for k, (x1, x2, y1, y2, label) in placed
+    ]
+    return _reduced(1 << depth, cells)
 
 
 def compose_partition(p: BlockPartition, i: int, q: BlockPartition) -> BlockPartition:
@@ -374,23 +365,18 @@ def build_dyadic(choices: Sequence[tuple[int, str]]) -> BlockPartition:
 
 
 def bisect(p: BlockPartition, ordinal: int, axis: str) -> BlockPartition:
-    """Halve the ordinal-th block (1-based, sorted order); both halves are
-    unlabeled."""
+    """Halve the ordinal-th block (1-based, sorted order) on the grid refined
+    by two, back to lowest terms through ``_reduced``; the halves are unlabeled."""
     if not 1 <= ordinal <= len(p):
         raise IndexError(f"ordinal {ordinal} out of range 1..{len(p)}")
-    x1, x2, y1, y2, _ = p.cells[ordinal - 1]
-    twice_mid = x1 + x2 if axis == X_AXIS else y1 + y2
-    # When the midpoint is off the grid, refine it (k = 2).  Its coordinate
-    # is then odd, so the new grid is still in lowest terms.
-    k = 1 + twice_mid % 2
-    rest = _placed(p.cells, 0, 0, k, k)
+    rest = _placed(p.cells, 0, 0, 2, 2)
     x1, x2, y1, y2, _ = rest.pop(ordinal - 1)
-    mid = twice_mid * k // 2
+    xm, ym = (x1 + x2) // 2, (y1 + y2) // 2
     if axis == X_AXIS:
-        rest += [(x1, mid, y1, y2, None), (mid, x2, y1, y2, None)]
+        rest += [(x1, xm, y1, y2, None), (xm, x2, y1, y2, None)]
     else:
-        rest += [(x1, x2, y1, mid, None), (x1, x2, mid, y2, None)]
-    return _trusted(p.den * k, rest)
+        rest += [(x1, x2, y1, ym, None), (x1, x2, ym, y2, None)]
+    return _reduced(2 * p.den, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +411,6 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
 def _window(p: BlockPartition, r: Rect) -> tuple[int, _Window, Sequence[tuple] | None]:
     """A common denominator for p and r, r's corners over it, and p's cells
     within r over it, or None when they do not fill r."""
-    if r is UNIT_RECT:  # every partition fills the square
-        return p.den, (0, p.den, 0, p.den), p.cells
     corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
     den = math.lcm(p.den, *(c.denominator for c in corners))
     x1, x2, y1, y2 = window = tuple(int(c * den) for c in corners)

@@ -474,13 +474,15 @@ def expand_path(store: _Store, t_start: Tree, chain: Chain) -> Certificate:
     combs: dict[int, Tree] = {}  # right comb of each node id met
 
     def right_comb_of(n: State) -> Tree:
+        # one Python frame a level, within the nesting limit's two
         if isinstance(n, tuple):
-            return comb(n[0], [right_comb_of(c) for c in n[1:]])
+            return comb(n[0], tuple(map(right_comb_of, n[1:])))
         if n >= 0:
             return n
         out = combs.get(n)
         if out is None:
-            out = combs[n] = right_comb_of(keys[~n])
+            key = keys[~n]
+            out = combs[n] = comb(key[0], tuple(map(right_comb_of, key[1:])))
         return out
 
     at, rotate = comb_steps(t_start)

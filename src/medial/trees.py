@@ -40,7 +40,7 @@ V = "v"
 OPS = (H, V)
 OPPOSITE = {H: V, V: H}
 SHAPE_ARITY_LIMIT = 10
-# The tree walkers recurse once or twice a level under Python's default
+# The tree walkers recurse at most twice a level under Python's default
 # recursion limit of 1000; a parsed monomial nests at most this deep.
 NESTING_LIMIT = 400
 
@@ -65,9 +65,7 @@ def is_leaf(t: Tree) -> bool:
 
 
 def arity(t: Tree) -> int:
-    if is_leaf(t):
-        return 1
-    return sum(map(arity, t[1:]))
+    return len(leaf_labels(t))
 
 
 def leaf_labels(t: Tree) -> tuple[int, ...]:
@@ -163,8 +161,12 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
         seen_here.add(word)
         if word in assigned:
             return assigned[word]
-        if word.startswith("x") and word[1:].isdigit():
-            idx = int(word[1:])
+        if word.startswith("x") and word[1:].isdecimal():
+            # k in ASCII digits, no leading zeros; k > len(text) >= n fails
+            digits = "".join(str(int(c)) for c in word[1:]).lstrip("0")
+            if len(digits) > len(str(len(text))):
+                raise MonomialSyntaxError("leaf index exceeds the number of leaves", offset)
+            idx = int(digits or "0")
             if idx < 1:
                 raise MonomialSyntaxError("leaf indices are 1-based", offset)
         else:
@@ -177,32 +179,29 @@ def parse_monomial(text: str, names: dict[str, int] | None = None) -> Tree:
         used.add(idx)
         return idx
 
-    def parse_expr(depth: int) -> Tree:
+    def take() -> tuple[str, str, int]:
+        """The next token; MonomialSyntaxError at the end of the text."""
         nonlocal pos
         if pos >= len(tokens):
             raise MonomialSyntaxError("unexpected end of input", len(text))
-        kind, value, offset = tokens[pos]
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse_expr(depth: int) -> Tree:
+        kind, value, offset = take()
         if kind == "word":
-            pos += 1
             return leaf_for(value, offset)
         if kind == "(":
             if depth == NESTING_LIMIT:
                 raise MonomialSyntaxError(f"nesting deeper than {NESTING_LIMIT} levels", offset)
-            pos += 1
             left = parse_expr(depth + 1)
-            if pos >= len(tokens):
-                raise MonomialSyntaxError("unexpected end of input", len(text))
-            kind2, op, off2 = tokens[pos]
-            if kind2 != "word" or op not in OPS:
-                raise MonomialSyntaxError("expected operation 'h' or 'v'", off2)
-            pos += 1
+            kind, op, offset = take()
+            if kind != "word" or op not in OPS:
+                raise MonomialSyntaxError("expected operation 'h' or 'v'", offset)
             right = parse_expr(depth + 1)
-            if pos >= len(tokens):
-                raise MonomialSyntaxError("unexpected end of input", len(text))
-            kind3, _, off3 = tokens[pos]
-            if kind3 != ")":
-                raise MonomialSyntaxError("expected ')'", off3)
-            pos += 1
+            kind, _, offset = take()
+            if kind != ")":
+                raise MonomialSyntaxError("expected ')'", offset)
             return (op, left, right)
         raise MonomialSyntaxError(f"unexpected token {value!r}", offset)
 

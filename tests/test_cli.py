@@ -333,6 +333,43 @@ def test_nesting_at_the_limit_runs(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_bm9_under_a_comb_at_the_nesting_limit(capsys):
+    """BM9 as the innermost argument of an alternating right comb, nested as
+    deep as the parser accepts: every walker stays within the recursion
+    limit."""
+    import re
+
+    from medial.quotient import check_equivalence
+    from medial.rewrite import replay_certificate
+    from medial.trees import NESTING_LIMIT, MonomialSyntaxError, format_monomial, parse_monomial
+
+    levels = NESTING_LIMIT - 5  # BM9 nests five deep
+
+    def under_comb(t):
+        text = re.sub(r"x(\d+)", lambda m: f"x{int(m.group(1)) + levels}", format_monomial(t))
+        for k in range(levels, 0, -1):
+            text = f"(x{k} {'hv'[(levels - k) % 2]} {text})"
+        return text
+
+    lhs, rhs = map(under_comb, (catalog.BM9.lhs, catalog.BM9.rhs))
+    t1, t2 = parse_monomial(lhs), parse_monomial(rhs)
+    with pytest.raises(MonomialSyntaxError, match="nesting deeper than"):
+        parse_monomial(f"({lhs} v y)")
+    scan = find_commutations(t1)
+    moved = [w.transposed_pair for w in scan.witnesses]
+    assert (5 + levels, 7 + levels) in moved
+    proof = check_equivalence(t1, t2)
+    assert proof.found
+    witness = scan.witnesses[moved.index((5 + levels, 7 + levels))]
+    for cert in (witness.certificate, proof.certificate):
+        assert replay_certificate(cert).ok
+    assert (proof.certificate.initial, proof.certificate.final) == (t1, t2)
+    assert main(["search", "--monomial", lhs, "--no-require-main-cuts"]) == PASS
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("WITNESS") == 1
+
+
 def test_search_seeded_config_a(capsys):
     rel_text = "(((a h b) v (c h (d v e))) h (((f v g) h h) v (i h j)))"
     assert main(["search", "--monomial", rel_text]) == PASS

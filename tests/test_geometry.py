@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from medial.geometry import (
     BORDER,
@@ -105,6 +107,7 @@ def test_area_is_conserved():
         t = random_shape(rng.randint(1, 8), rng)
         p = realize(t)
         assert sum((b.area for b in p.blocks), F(0)) == 1
+        assert BlockPartition(p.blocks) == p  # in lowest terms
 
 
 def test_overlap_rejected():
@@ -149,6 +152,14 @@ def test_build_dyadic():
     assert build_dyadic([(1, "x"), (1, "y"), (3, "y")]) == GRID.unlabeled()
     with pytest.raises(IndexError):
         build_dyadic([(2, "x")])
+
+
+@given(st.lists(st.tuples(st.integers(0, 63), st.sampled_from("xy")), max_size=12))
+def test_build_dyadic_is_in_lowest_terms(draws):
+    # step k bisects one of the k + 1 blocks, whose midpoint may lie on the
+    # grid or between two of its lines
+    p = build_dyadic([(r % (k + 1) + 1, axis) for k, (r, axis) in enumerate(draws)])
+    assert BlockPartition(p.blocks) == p
 
 
 def test_cuts_examples():

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from medial.assoc import enumerate_alternating
 from medial.trees import (
@@ -277,3 +279,34 @@ def test_parser_refuses_nesting_past_the_limit():
     assert arity(parse_monomial(comb(NESTING_LIMIT))) == NESTING_LIMIT + 1
     with pytest.raises(MonomialSyntaxError, match="nesting deeper than"):
         parse_monomial(comb(NESTING_LIMIT + 1))
+
+
+@given(st.text(alphabet="x12\u00b2\u0662 hv()", max_size=40))
+@example("(x\u00b2 h x1)")
+@example("(x\u0662 h x1)")
+def test_parser_returns_a_tree_or_a_syntax_error(text):
+    try:
+        t = parse_monomial(text)
+    except MonomialSyntaxError:
+        return
+    assert is_standard(t)
+
+
+def test_parser_reads_leaf_indices_in_decimal_digits_only():
+    assert parse_monomial("(x\u0662 h x1)") == (H, 2, 1)  # an Arabic-Indic 2
+    with pytest.raises(MonomialSyntaxError, match="leaf index 1 already used"):
+        parse_monomial("(x\u00b2 h x1)")  # a superscript two names a leaf
+    with pytest.raises(MonomialSyntaxError, match="do not form a permutation"):
+        parse_monomial("(x1 h x9)")
+
+
+@pytest.mark.parametrize("zeros", [0, 5_000])
+def test_parser_refuses_a_leaf_index_with_thousands_of_digits(zeros):
+    word = "x" + "0" * zeros + "9" * 5_000
+    with pytest.raises(MonomialSyntaxError, match="exceeds the number of leaves") as err:
+        parse_monomial(f"(x1 h {word})")
+    assert err.value.offset == 6
+
+
+def test_parser_drops_thousands_of_leading_zeros():
+    assert parse_monomial("(x" + "0" * 4_999 + "2 v x1)") == (V, 2, 1)
