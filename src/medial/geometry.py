@@ -9,7 +9,8 @@ is a power of two; a partition a caller builds may use any denominator.
 One function bisects a window of cells, ``_halves``; its midpoint test
 compares doubled coordinates (``2 * x1 < a + b``), which keeps it in
 integers.  One function scales and moves cells, ``_placed``, and one
-function brings cells to lowest terms, ``_reduced``.
+function brings built cells to lowest terms, ``_reduced``; only
+``realize`` picks a grid that is in lowest terms already.
 
 Values go in and come out as ``fractions.Fraction``: ``Rect``, the one box
 type (a ``Block`` is a ``Rect`` with a label), and ``Cut`` carry Fractions,
@@ -246,7 +247,8 @@ def _validate(den: int, cells: list[tuple]) -> None:
 def _trusted(den: int, cells) -> BlockPartition:
     """A partition from cells that are valid by construction and already in
     lowest terms over ``den``: the unit square, a relabelling or a
-    reflection of a partition, or ``_reduced``'s output; no checks run."""
+    reflection of a partition, ``realize``'s grid, or ``_reduced``'s output;
+    no checks run."""
     p = BlockPartition.__new__(BlockPartition)
     p.__dict__.update(den=den, cells=tuple(sorted(cells, key=_corner)))
     return p
@@ -297,29 +299,40 @@ def vjoin(p: BlockPartition, q: BlockPartition) -> BlockPartition:
     return _join(p, q, Y_AXIS)
 
 
+def _cut_depths(t: Tree) -> tuple[int, int]:
+    """The most h nodes, and the most v nodes, on one root-to-leaf path."""
+    if is_leaf(t):
+        return 0, 0
+    h1, v1 = _cut_depths(t[1])
+    h2, v2 = _cut_depths(t[2])
+    if t[0] == trees.H:
+        return max(h1, h2) + 1, max(v1, v2)
+    return max(h1, h2), max(v1, v2) + 1
+
+
 def realize(t: Tree) -> BlockPartition:
     """Geometric realization of a binary monomial: h joins east, v joins
-    north, labels from leaves.  A leaf k deep is placed on the 2^k grid, then
-    all on the deepest leaf's grid, which ``_reduced`` takes to lowest terms."""
-    placed: list[tuple[int, tuple]] = []  # (k, cell over 2^k)
+    north, labels from leaves."""
+    # On a 2^d grid, d the larger cut depth, every split is integral, and
+    # the deepest split on that axis lands on an odd coordinate, so the
+    # grid is already in lowest terms.
+    den = 1 << max(_cut_depths(t))
+    cells: list[tuple] = []
 
-    def place(node: Tree, k: int, x1: int, x2: int, y1: int, y2: int) -> None:
+    def place(node: Tree, x1: int, x2: int, y1: int, y2: int) -> None:
         if is_leaf(node):
-            placed.append((k, (x1, x2, y1, y2, node)))
+            cells.append((x1, x2, y1, y2, node))
         elif node[0] == trees.H:
-            place(node[1], k + 1, 2 * x1, x1 + x2, 2 * y1, 2 * y2)
-            place(node[2], k + 1, x1 + x2, 2 * x2, 2 * y1, 2 * y2)
+            mid = (x1 + x2) // 2
+            place(node[1], x1, mid, y1, y2)
+            place(node[2], mid, x2, y1, y2)
         else:
-            place(node[1], k + 1, 2 * x1, 2 * x2, 2 * y1, y1 + y2)
-            place(node[2], k + 1, 2 * x1, 2 * x2, y1 + y2, 2 * y2)
+            mid = (y1 + y2) // 2
+            place(node[1], x1, x2, y1, mid)
+            place(node[2], x1, x2, mid, y2)
 
-    place(t, 0, 0, 1, 0, 1)
-    depth = max(k for k, _ in placed)
-    cells = [
-        (x1 << depth - k, x2 << depth - k, y1 << depth - k, y2 << depth - k, label)
-        for k, (x1, x2, y1, y2, label) in placed
-    ]
-    return _reduced(1 << depth, cells)
+    place(t, 0, den, 0, den)
+    return _trusted(den, cells)
 
 
 def compose_partition(p: BlockPartition, i: int, q: BlockPartition) -> BlockPartition:
@@ -411,6 +424,8 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
 def _window(p: BlockPartition, r: Rect) -> tuple[int, _Window, Sequence[tuple] | None]:
     """A common denominator for p and r, r's corners over it, and p's cells
     within r over it, or None when they do not fill r."""
+    if r is UNIT_RECT:  # every partition fills the square
+        return p.den, (0, p.den, 0, p.den), p.cells
     corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
     den = math.lcm(p.den, *(c.denominator for c in corners))
     x1, x2, y1, y2 = window = tuple(int(c * den) for c in corners)
