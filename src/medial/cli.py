@@ -11,7 +11,7 @@ from functools import partial
 from itertools import tee
 from pathlib import Path
 
-from . import catalog, counts, geometry, render
+from . import geometry  # catalog, counts and render load in the commands that run them
 from .quotient import check_equivalence, find_commutations, scan_monomials
 from .rewrite import (
     ALL_FAMILIES,
@@ -48,6 +48,8 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import counts
+
     n = args.arity
     try:
         # the graph's limit is the lower one: check it before counting
@@ -80,6 +82,8 @@ def cmd_count(args) -> int:
 
 
 def _verify_relation(name: str, budget: int, rediscover: bool) -> int:
+    from . import catalog
+
     rel = catalog.RELATIONS[name]
     cert = catalog.load_certificate(name)
     if cert.initial != rel.lhs or cert.final != rel.rhs:
@@ -118,7 +122,10 @@ def _verify_relation(name: str, budget: int, rediscover: bool) -> int:
     return PASS
 
 
-def _verify_negative_scan(name: str, cfg: catalog.Configuration, budget: int) -> int:
+def _verify_config_c(budget: int) -> int:
+    from . import catalog
+
+    name, cfg = "configC-negative", catalog.CONFIG_C
     scan = find_commutations(cfg.monomial, budget=budget)
     if not scan.exhausted:
         print(f"INCONCLUSIVE {name}: budget exhausted before the closure completed")
@@ -136,6 +143,8 @@ def _verify_negative_scan(name: str, cfg: catalog.Configuration, budget: int) ->
 
 
 def _verify_seven_block(budget: int) -> int:
+    from . import catalog
+
     status = PASS
     for k, cfg in enumerate(catalog.SEVEN_BLOCKS):
         result = closure(cfg.monomial, budget=budget)
@@ -158,6 +167,8 @@ def _verify_seven_block(budget: int) -> int:
 
 
 def _verify_case1(budget: int) -> int:
+    from . import catalog
+
     cfg = catalog.CASE1
     tracked = tuple(cfg.names[x] for x in ("d", "e", "f", "g"))
     result = closure(cfg.monomial, budget=budget)
@@ -191,7 +202,7 @@ VERIFY_TARGETS = {
     "configA": partial(_verify_relation, "configA", rediscover=True),
     "configB": partial(_verify_relation, "configB", rediscover=True),
     "case2": partial(_verify_relation, "case2", rediscover=True),
-    "configC-negative": partial(_verify_negative_scan, "configC-negative", catalog.CONFIG_C),
+    "configC-negative": _verify_config_c,
     "seven-block-negative": _verify_seven_block,
     "case1-negative": _verify_case1,
 }
@@ -233,7 +244,7 @@ def cmd_search(args) -> int:
         return USAGE
 
     def passes_filters(part: geometry.BlockPartition) -> bool:
-        if len(geometry.interior_labels(part)) < args.min_interior:
+        if args.min_interior and len(geometry.interior_labels(part)) < args.min_interior:
             return False
         if slices is None:
             return True
@@ -280,6 +291,8 @@ def _partition_shaped(text: str) -> bool:
 
 
 def cmd_render(args) -> int:
+    from . import render
+
     try:
         if args.monomial:
             part = geometry.realize(parse_monomial(args.monomial))

@@ -43,6 +43,8 @@ FIBER_CHECK_ARITY_LIMIT = 6
 
 @dataclass(frozen=True)
 class InterchangeGraph:
+    """Unlabeled alternating trees joined when one interchange links them."""
+
     vertices: tuple[AltTree, ...]
     edges: frozenset[tuple[int, int]]
 
@@ -108,6 +110,8 @@ def orbit_size_multiset(n: int = 4) -> tuple[int, ...]:
 
 @dataclass
 class FiberEquivalenceReport:
+    """Whether interchange closures equal realization fibers at one arity."""
+
     ok: bool
     arity: int
     shapes: int

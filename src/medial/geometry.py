@@ -165,6 +165,8 @@ UNIT_RECT = Rect(ZERO, ONE, ZERO, ONE)
 
 @dataclass(frozen=True)
 class Cut:
+    """A maximal open segment between blocks: its line and its extent along it."""
+
     orientation: str  # HORIZONTAL or VERTICAL
     coordinate: Fraction  # the fixed axis value
     lo: Fraction  # extent along the cut

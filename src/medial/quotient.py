@@ -504,6 +504,8 @@ def expand_path(store: _Store, t_start: Tree, chain: Chain) -> Certificate:
 
 @dataclass
 class EquivalenceResult:
+    """A ``check_equivalence`` outcome: a certificate, proved distinct, or neither."""
+
     certificate: Certificate | None
     proved_distinct: bool
     expanded: int
@@ -634,6 +636,8 @@ def check_equivalence(
 
 @dataclass(frozen=True)
 class CommutationWitness:
+    """A permutation of a monomial's arguments that it equals, and the proof."""
+
     monomial: Tree
     permutation: tuple[int, ...]  # image of argument i at index i-1
     certificate: Certificate
@@ -654,6 +658,8 @@ class CommutationWitness:
 
 @dataclass(frozen=True)
 class CommutationScan:
+    """The commutation witnesses in one monomial's class, and the search's size."""
+
     witnesses: tuple[CommutationWitness, ...]
     exhausted: bool
     expanded: int

@@ -57,6 +57,8 @@ class RewriteError(ValueError):
 
 @dataclass(frozen=True)
 class RewriteStep:
+    """One rule applied in one direction at one root path."""
+
     rule: str
     direction: str
     position: Position
@@ -74,11 +76,36 @@ class RewriteStep:
 
     @staticmethod
     def from_json(data: dict) -> "RewriteStep":
-        return RewriteStep(
-            data["rule"],
-            data["direction"],
-            tuple(int(c) for c in data["position"]),
+        """The step ``data`` states; ValueError naming the field when it is
+        malformed.  Unknown rules and directions are left to replay."""
+        rule, direction, position = (
+            _json_field(data, key, str) for key in ("rule", "direction", "position")
         )
+        if position.strip("01"):
+            raise ValueError(f"field 'position' must be a string of 0s and 1s, got {position!r}")
+        return RewriteStep(rule, direction, tuple(map(int, position)))
+
+
+def _json_field(data: dict, key: str, kind: type):
+    """``data[key]``, which must be a ``kind``; ValueError naming the field,
+    or saying that ``data`` is not an object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"must be an object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _json_monomial(data: dict, key: str) -> Tree:
+    """The monomial that the string ``data[key]`` writes; ValueError naming the field."""
+    text = _json_field(data, key, str)
+    try:
+        return parse_monomial(text)
+    except ValueError as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
 
 
 def _apply_local(node: Tree, rule: str, direction: str) -> Tree | None:
@@ -192,6 +219,8 @@ class Frontier:
 
 @dataclass
 class ClosureResult:
+    """The monomials a closure reached, and whether it reached them all."""
+
     members: frozenset[Tree]
     exhausted: bool
     expanded: int
@@ -270,11 +299,20 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        return Certificate(
-            parse_monomial(data["initial"]),
-            tuple(RewriteStep.from_json(s) for s in data["steps"]),
-            parse_monomial(data["final"]),
-        )
+        """The certificate ``data`` states; ValueError naming the field, and
+        for a step its index, when it is malformed."""
+        try:
+            initial, final = (_json_monomial(data, key) for key in ("initial", "final"))
+            steps = _json_field(data, "steps", list)
+        except ValueError as exc:
+            raise ValueError(f"certificate: {exc}") from None
+        out = []
+        for k, step in enumerate(steps):
+            try:
+                out.append(RewriteStep.from_json(step))
+            except ValueError as exc:
+                raise ValueError(f"certificate step {k}: {exc}") from None
+        return Certificate(initial, tuple(out), final)
 
     @staticmethod
     def load(text: str) -> "Certificate":
@@ -283,6 +321,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ReplayResult:
+    """Whether a certificate replays, and if not, at which step and why."""
+
     ok: bool
     failed_step: int | None = None
     reason: str | None = None

@@ -143,6 +143,67 @@ def test_certificate_json_round_trip():
     assert replay_certificate(again)
 
 
+def _certificate_text(steps=({"rule": "interchange", "direction": "forward", "position": ""},),
+                      **fields) -> str:
+    """The certificate of one interchange at the root, with ``fields`` replaced."""
+    data = {"initial": "((x1 h x2) v (x3 h x4))", "steps": steps, "final": "((x1 v x3) h (x2 v x4))"}
+    return json.dumps({**data, **fields})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "certificate: missing field 'initial'"),
+        ("[]", "certificate: must be an object, got list"),
+        (_certificate_text(initial=5), "certificate: field 'initial' must be a str, got int"),
+        (_certificate_text(final="(a h"), "certificate: field 'final': unexpected end of input"),
+        (_certificate_text(steps="ab"), "certificate: field 'steps' must be a list, got str"),
+        (_certificate_text(steps=[3]), "certificate step 0: must be an object, got int"),
+        (
+            _certificate_text(steps=[{"rule": "interchange", "position": ""}]),
+            "certificate step 0: missing field 'direction'",
+        ),
+        (
+            _certificate_text(steps=[{"rule": None, "direction": "forward", "position": ""}]),
+            "certificate step 0: field 'rule' must be a str, got NoneType",
+        ),
+        (
+            _certificate_text(steps=[
+                {"rule": "interchange", "direction": "forward", "position": ""},
+                {"rule": "interchange", "direction": "backward", "position": "0a"},
+            ]),
+            "certificate step 1: field 'position' must be a string of 0s and 1s, got '0a'",
+        ),
+        (
+            _certificate_text(steps=[{"rule": "interchange", "direction": "forward", "position": "2"}]),
+            "certificate step 0: field 'position' must be a string of 0s and 1s, got '2'",
+        ),
+    ],
+    ids=[
+        "empty-object", "list", "initial-not-text", "final-unparsable", "steps-not-a-list",
+        "step-not-an-object", "step-without-direction", "rule-not-text", "position-not-binary",
+        "position-digit-two",
+    ],
+)
+def test_certificate_load_names_the_malformed_field(text, message):
+    with pytest.raises(ValueError) as caught:
+        Certificate.load(text)
+    assert str(caught.value).startswith(message)
+
+
+def test_certificate_load_leaves_unknown_rules_and_directions_to_replay():
+    assert replay_certificate(Certificate.load(_certificate_text()))
+    unknown = Certificate.load(_certificate_text(steps=[
+        {"rule": "interchange", "direction": "forward", "position": ""},
+        {"rule": "medial", "direction": "forward", "position": "1"},
+    ]))
+    assert replay_certificate(unknown).reason == "step 1: unknown rule 'medial'"
+    sideways = Certificate.load(_certificate_text(steps=[
+        {"rule": "interchange", "direction": "sideways", "position": ""},
+    ]))
+    assert replay_certificate(sideways).failed_step == 0
+
+
 def test_certificate_corruption_detected():
     t = parse_monomial("((a h b) v (c h d))")
     cert = certificate_from_path(t, [RewriteStep(INTERCHANGE, FORWARD, ())])
