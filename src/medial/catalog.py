@@ -10,7 +10,6 @@ under ``medial/certs`` and replay offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .rewrite import Certificate
 from .trees import Tree, leaf_labels, parse_monomial
@@ -142,6 +141,8 @@ CERTIFICATE_FILES = {
 
 
 def load_certificate(name: str) -> Certificate:
+    from importlib import resources  # loaded by the first certificate read, not by the records
+
     return Certificate.load(
         resources.files("medial.certs").joinpath(CERTIFICATE_FILES[name]).read_text()
     )

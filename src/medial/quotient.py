@@ -57,9 +57,17 @@ calls.  The store interns only subtrees; a state is its root's flat key.
   pair by pair, split by split, then the moves inside each child, from the
   last child to the first; ``move(key, k)`` names the move behind entry
   ``k``.
-* "Same operation-labelled shape as the start" compares the two states'
-  keys, then walks their children side by side and stops at the first
-  difference; a subtree the two share is one id and is not entered.
+* "Same operation-labelled shape as the start" is decided one slot (a
+  child's position in a flat key) at a time.  A state with the start's
+  operation and width has its shape exactly when each child has the shape
+  of the start's child in the same slot; each (slot, child id) is decided
+  at most once, by ``same_shape`` against that child, in one dict per
+  slot.  On ``census9`` seed 1 the 52,767 states of the start's operation
+  and width make 65,783 slot lookups, 27,395 of them dict hits, and 38,388
+  child comparisons, where they took 52,767 state comparisons.
+  ``same_shape`` compares two keys, then walks their children side by side
+  and stops at the first difference; a subtree the two share is one id and
+  is not entered.
 
 Both searches run on ``rewrite.Frontier``, the package's one
 breadth-first search, over ``_Store.neighbours``.  ``find_commutations``
@@ -130,7 +138,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .assoc import AltTree, comb, right_comb
 from .rewrite import (
@@ -244,7 +252,7 @@ class _Store(dict):
             ka, kb = pairs.pop()
             if ka[0] != kb[0] or len(ka) != len(kb):
                 return False
-            for a, b in zip(ka[1:], kb[1:]):
+            for a, b in zip(ka, kb):  # the operations are equal by now
                 if a == b:
                     continue
                 if a < 0 and b < 0:
@@ -737,21 +745,16 @@ def _scan(t: Tree, budget: int, store: _Store, root: State) -> tuple[Commutation
     t's state in ``store`` (``_rooted(t)``), with its frontier."""
     search = Frontier(store.neighbours, root)
     exhausted = search.run(budget)
-    # a state other than the root is never the identity; the root's operation
-    # and width, compared inline, turn away about half the states
-    found = ()
-    if not is_leaf(root):
-        op, width = root[0], len(root)
-        found = (
-            (store.tree(s), s)
-            for s in search.parents
-            if s[0] == op and len(s) == width and s != root and store.same_shape(s, root)
+    # a state other than the root is never the identity; the rest are
+    # decided one root child at a time, by slot
+    members = _same_shape_states(store, search.parents, root)
+    witnesses = ()  # most classes hold no member
+    if members:
+        witnesses = _witnesses(
+            t,
+            ((store.tree(s), s) for s in members),
+            lambda state, target: _certificate(store, t, _trace(store, search, state), target, []),
         )
-    witnesses = _witnesses(
-        t,
-        found,
-        lambda state, target: _certificate(store, t, _trace(store, search, state), target, []),
-    )
     scan = CommutationScan(
         witnesses=witnesses,
         exhausted=exhausted,
@@ -759,6 +762,37 @@ def _scan(t: Tree, budget: int, store: _Store, root: State) -> tuple[Commutation
         class_size=len(search.parents),
     )
     return scan, search
+
+
+def _same_shape_states(store: _Store, states: Collection[State], root: State) -> list[State]:
+    """The states other than ``root`` that have its operation-labelled
+    shape, in the order of ``states``.
+
+    A state of the root's operation and width has the root's shape exactly
+    when each child has the shape of the root's child in the same slot, its
+    position in the key.  Those states are filtered one slot at a time, and
+    each (slot, child id) is decided at most once, by ``same_shape`` against
+    the root's child, in one dict per slot; a class with no state of the
+    root's operation and width makes no dict."""
+    if len(states) == 1:
+        return []  # the root alone, as in every one-leaf class
+    op, width = root[0], len(root)
+    found = [s for s in states if s[0] == op and len(s) == width and s != root]
+    for slot in range(1, width):
+        if not found:
+            break
+        r = root[slot]
+        alike = {r: True}  # child id in this slot -> same shape as r
+        keep = []
+        for s in found:
+            c = s[slot]
+            same = alike.get(c)
+            if same is None:
+                same = alike[c] = store.same_shape(c, r)
+            if same:
+                keep.append(s)
+        found = keep
+    return found
 
 
 def _witnesses(t: Tree, found: Iterable, certify: Callable) -> tuple[CommutationWitness, ...]:

@@ -17,7 +17,6 @@ implementation can replay bit-exactly.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import pairwise
@@ -295,6 +294,8 @@ class Certificate:
         }
 
     def dump(self) -> str:
+        import json  # certificate I/O only; a search never loads it
+
         return json.dumps(self.to_json(), indent=2) + "\n"
 
     @staticmethod
@@ -316,6 +317,8 @@ class Certificate:
 
     @staticmethod
     def load(text: str) -> "Certificate":
+        import json
+
         return Certificate.from_json(json.loads(text))
 
 

@@ -30,10 +30,12 @@ the package: it refuses nesting deeper than ``NESTING_LIMIT``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:  # only ``random_shape``'s annotation names it
+    import random
 
 H = "h"
 V = "v"

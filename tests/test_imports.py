@@ -5,6 +5,7 @@ others load on first use.  Each check runs in a fresh interpreter, since
 this test session has long since loaded every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -153,3 +154,37 @@ def test_dir_lists_every_public_name_before_any_is_used():
     )
     assert listed == all_names == sorted(HOME)
     assert set(loaded) == CORE
+
+
+def _run_plain(script: str):
+    """Run ``script`` in a fresh interpreter started with ``-S``, so that no
+    site start-up loads a module before it; returns ``report``, a literal
+    the script sets."""
+    script += "\nprint(repr(report))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_neither_json_nor_random():
+    # json serves certificate I/O only, random an annotation only
+    report = _run_plain(
+        "import sys\nbefore = {'json', 'random'} & set(sys.modules)\nimport medial\n"
+        "report = sorted(before), sorted({'json', 'random'} & set(sys.modules))"
+    )
+    assert report == ([], [])
+
+
+def test_catalog_records_load_without_importlib_resources():
+    # the records are code; only reading a bundled certificate file needs it
+    report = _run_plain(
+        "import sys\nimport medial.catalog as catalog\n"
+        "from medial.rewrite import replay_certificate\n"
+        "loaded = 'importlib.resources' in sys.modules\n"
+        "replayed = [replay_certificate(catalog.load_certificate(name)).ok\n"
+        "            for name in sorted(catalog.CERTIFICATE_FILES)]\n"
+        "report = loaded, replayed"
+    )
+    assert report == (False, [True] * 5)

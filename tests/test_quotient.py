@@ -751,6 +751,68 @@ def test_binary_engine_witnesses_match_the_quotient_scan(t):
         assert replay_certificate(w.certificate)
 
 
+def test_commutation_scan_compares_each_slot_and_child_once(monkeypatch):
+    # the scan compares children of candidate states with the start's child
+    # in the same slot, never whole states, and each (slot, child id) once
+    calls = []
+    same_shape = _Store.same_shape
+
+    def recorded(self, a, b):
+        calls.append((self, a, b))
+        return same_shape(self, a, b)
+
+    monkeypatch.setattr(_Store, "same_shape", recorded)
+    scan = find_commutations(CASE2.lhs)
+    assert scan.exhausted and scan.witnesses
+    (store,) = {id(s): s for s, _, _ in calls}.values()
+    root = store.state(CASE2.lhs)
+    pairs = [(a, b) for _, a, b in calls]
+    assert all(b in root[1:] for _, b in pairs)  # a child of the start, not the start
+    # the start's children are distinct ids, so b names the slot
+    assert len(set(root[1:])) == len(root) - 1
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
+def _scan_draws():
+    """Seeded arity-9 and arity-10 draws; the arity-10 draws are random
+    binary shapes, so their roots take every width."""
+    yield from islice(_arity9_draws(random.Random(28)), 100)
+    rng = random.Random(29)
+    for _ in range(100):
+        images = list(range(1, 11))
+        rng.shuffle(images)
+        yield relabel(random_shape(10, rng), dict(zip(range(1, 11), images)))
+
+
+def test_scan_hands_witnesses_exactly_the_same_shape_states(monkeypatch):
+    # the slot-by-slot filter against the plain one: every state other than
+    # the start whose stripped tree is the start's, in discovery order, and
+    # no call at all when there is none
+    handed = []
+    witnesses = quotient._witnesses
+
+    def captured(t, found, certify):
+        found = list(found)
+        handed.append(found)
+        return witnesses(t, found, certify)
+
+    monkeypatch.setattr(quotient, "_witnesses", captured)
+    named = [BM9.lhs, CONFIG_A.lhs, CONFIG_B.lhs, CASE2.lhs, CONFIG_C.monomial]
+    draws = with_members = wide = 0
+    for t in [*named, *_scan_draws()]:
+        handed.clear()
+        store, root = quotient._rooted(t)
+        _, search = quotient._scan(t, DEFAULT_BUDGET, store, root)
+        shape = strip_labels(store.tree(root))
+        want = [s for s in search.parents if s != root and strip_labels(store.tree(s)) == shape]
+        assert handed == ([[(store.tree(s), s) for s in want]] if want else [])
+        draws += 1
+        with_members += bool(want)
+        wide += bool(want) and len(root) > 3
+    assert draws == 205
+    assert with_members > len(named) and wide > 0  # a start of width three or more
+
+
 @pytest.mark.parametrize(
     "mapping", [{k: k + 10 for k in range(1, 10)}, {2: 1}], ids=["shifted", "repeated"]
 )
