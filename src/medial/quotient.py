@@ -17,7 +17,11 @@ calls.  The store interns only subtrees; a state is its root's flat key.
   ids, so hashing and comparing a key is shallow, and a subtree shared by
   many states is one id.  The store is a dict whose ``__missing__`` interns
   the key, so a node seen before costs one lookup.  A binary monomial is
-  flattened and interned in one pass.
+  flattened and interned in one pass, one Python frame per maximal subtree
+  of one operation (``_Store.state``): a node of the frame's operation
+  pushes its two children, and a node of the other operation is read in a
+  nested frame and interned.  A node that is empty, or of an operation
+  other than h and v, is refused there, as a wider node is.
 * A state is its root's key, not an id: a state is never a child of
   another node, so interning it would buy nothing and cost a dict entry, a
   ``keys`` slot, a ``memo`` slot, an int and a lookup per edge.  A
@@ -117,9 +121,10 @@ on every move of every alternating tree to arity 8.
 under fewer rule families, a binary closure.  Both hand their same-shape
 members in discovery order to one builder, ``_witnesses``: one witness per
 permutation, sorted, certified from its first member by a shortest path.
-The store reads binary monomials only: ``_rooted`` checks that each node has
-two children and that the leaf labels are 1..n on the walk that interns the
-monomial, so a wider node is refused before any state is expanded.
+The store reads binary monomials only: ``_rooted`` checks that each node is
+an h or a v node with two children and that the leaf labels are 1..n on the
+walk that interns the monomial, so a wider node, an empty one or one of
+another operation is refused before any state is expanded.
 
 ``scan_monomials`` answers a run of ``find_commutations`` calls with one
 search for each class that needs one.  Relabelling the arguments preserves
@@ -158,6 +163,7 @@ from .rewrite import (
 )
 from .trees import (
     OPPOSITE,
+    H,
     Position,
     Tree,
     V,
@@ -177,6 +183,13 @@ Chain = list[tuple[State, Move]]  # (state, move taken there), in order
 # ---------------------------------------------------------------------------
 # Hash-consed states
 # ---------------------------------------------------------------------------
+
+def _not_binary(node: tuple) -> ValueError:
+    """The refusal of a tuple that is not a binary h or v node."""
+    if node and node[0] in (H, V):
+        return ValueError(f"a {node[0]} node with {len(node) - 1} children is not binary")
+    return ValueError(f"node {node!r} is not an h or a v node")
+
 
 class _Store(dict):
     """Interned subtrees of one search; see the module docstring."""
@@ -201,28 +214,46 @@ class _Store(dict):
 
     def state(self, t: Tree, leaves: list[int] | None = None) -> State:
         """``from_binary`` without interning the root: the search state of
-        ``t``, the flat key of its root, or a leaf alone.  ValueError on the
-        first node met that does not have two children, and on the first
-        leaf that is not an int >= 0, which the store would misread."""
+        ``t``, the flat key of its root, or a leaf alone.
+
+        One frame reads the maximal subtree of the root's operation: a node
+        of that operation pushes its two children, right first; a leaf is
+        appended to the key and to ``leaves``; a node of the other
+        operation is read in a nested frame and interned.  ValueError on
+        the first defect met, left to right: a node that does not have two
+        children, a node that is empty or has an operation other than h or
+        v, or a leaf that is not an int >= 0, which the store would
+        misread."""
         if leaves is None:
             leaves = []
-        op = t[0] if isinstance(t, tuple) else None  # None: a one-leaf monomial
-        parts: list[int] = []
-        stack = [t]
+        if not isinstance(t, tuple):  # a one-leaf monomial
+            if not (isinstance(t, int) and t >= 0):
+                raise ValueError(f"leaf {t!r} is not an int >= 0")
+            leaves.append(t)
+            return t
+        if len(t) != 3 or t[0] not in (H, V):
+            raise _not_binary(t)
+        op = t[0]
+        other = OPPOSITE[op]
+        key = [op]
+        stack = [t[2], t[1]]
         while stack:
             sub = stack.pop()
-            if is_leaf(sub) and sub >= 0:
-                parts.append(sub)
+            if isinstance(sub, int) and sub >= 0:  # is_leaf inlined: no call per leaf
+                key.append(sub)
                 leaves.append(sub)
             elif not isinstance(sub, tuple):
                 raise ValueError(f"leaf {sub!r} is not an int >= 0")
             elif len(sub) != 3:
-                raise ValueError(f"a {sub[0]} node with {len(sub) - 1} children is not binary")
+                raise _not_binary(sub)
             elif sub[0] == op:
-                stack += sub[:0:-1]
+                stack.append(sub[2])
+                stack.append(sub[1])
+            elif sub[0] == other:
+                key.append(self[self.state(sub, leaves)])
             else:
-                parts.append(self.from_binary(sub, leaves))
-        return parts[0] if op is None else (op, *parts)
+                raise _not_binary(sub)
+        return tuple(key)
 
     def tree(self, n: State) -> AltTree:
         """The nested tuples of a state, a node id or a leaf."""

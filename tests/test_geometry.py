@@ -45,6 +45,7 @@ from medial.geometry import (
     unit_square,
     vjoin,
 )
+from medial.geometry import _halves
 from medial.geometry import _main_cuts
 from medial.geometry import _splits
 from medial.trees import (
@@ -210,6 +211,45 @@ def test_cuts_are_pinned_on_every_partition_to_arity_7():
             count += 1
     assert count == 8986
     assert h.hexdigest() == "37b18a5b5388988331d8d5d9636e596f506fce2fc7064204e4b412ebca9023f6"
+
+
+def _two_pass_halves(window, cells, orientation):
+    """The bisection as two passes: a scan for a cell that straddles the
+    midpoint, then one comprehension for each half."""
+    lo, hi = (0, 1) if orientation == VERTICAL else (2, 3)
+    twice_mid = window[lo] + window[hi]
+    for c in cells:
+        if 2 * c[lo] < twice_mid < 2 * c[hi]:
+            return None
+    mid = twice_mid // 2
+    return (
+        (window[:hi] + (mid,) + window[hi + 1 :], [c for c in cells if c[hi] <= mid]),
+        (window[:lo] + (mid,) + window[lo + 1 :], [c for c in cells if c[lo] >= mid]),
+    )
+
+
+def test_halves_is_the_two_pass_bisection_on_every_window_to_arity_7():
+    # every window met while bisecting the 8,986 dyadic partitions of arity
+    # <= 7 in both orientations, one-cell windows (nothing to bisect) included
+    partitions = windows = splits = 0
+    for n in range(1, 8):
+        for p in enumerate_partitions(n):
+            partitions += 1
+            todo = [((0, p.den, 0, p.den), p.cells)]
+            seen = set()
+            while todo:
+                window, cells = todo.pop()
+                if window in seen:
+                    continue
+                seen.add(window)
+                windows += 1
+                for orientation in (VERTICAL, HORIZONTAL):
+                    got = _halves(window, cells, orientation)
+                    assert got == _two_pass_halves(window, cells, orientation)
+                    if got is not None:
+                        splits += 1
+                        todo += got
+    assert (partitions, windows, splits) == (8986, 115330, 55326)
 
 
 def test_main_cuts():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import re
+import sys
 from itertools import islice, tee
 
 import pytest
@@ -1021,3 +1022,155 @@ def test_searches_refuse_a_wide_node_before_any_expansion(monkeypatch):
     monkeypatch.setattr(Frontier, "expand", unreached)
     with refused:
         next(hits)
+
+
+def _reader_cases():
+    """Seeded random binary monomials of arity 1 to 16 with shuffled labels,
+    then the left comb, the right comb and the alternating chain at 16."""
+    rng = random.Random(5)
+    for n in range(1, 17):
+        for _ in range(20):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            yield relabel(random_shape(n, rng), dict(enumerate(labels, 1)))
+    yield functools.reduce(lambda t, k: (H, t, k), range(2, 17), 1)
+    yield comb(H, tuple(range(1, 17)))
+    yield functools.reduce(lambda t, k: (V if k % 2 else H, t, k), range(2, 17), 1)
+
+
+def test_store_reads_a_binary_monomial_as_its_alternating_tree():
+    store = _Store()
+    for t in _reader_cases():
+        leaves = []
+        key = store.state(t, leaves)
+        assert store.tree(key) == to_alternating(t)
+        assert leaves == list(leaf_labels(t))
+        interned = len(store.keys)
+        again = []
+        assert store.state(t, again) == key and again == leaves
+        assert len(store.keys) == interned  # read again, nothing is interned
+        nid = store.from_binary(t)
+        if is_leaf(key):
+            assert nid == key
+        else:
+            assert nid < 0 and store.keys[~nid] == key
+        assert store.tree(nid) == to_alternating(t)
+        interned = len(store.keys)
+        assert store.from_binary(t) == nid and len(store.keys) == interned
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ((H, -1, (V, 1, 2, 3)), "leaf -1 is not an int >= 0"),
+        ((H, (V, 1, 2, 3), -1), "a v node with 3 children is not binary"),
+        # the first defect sits in a nested subtree of the other operation
+        ((H, (V, 1, -2), (H, 3, 4, 5)), "leaf -2 is not an int >= 0"),
+        ((H, (V, 1, (H, 2, 3, 4)), -5), "a h node with 3 children is not binary"),
+        ((V, (H, 1, (V, 2, ())), ("x", 3, 4)), "node () is not an h or a v node"),
+        ((V, (H, 1, (V, 2, 3)), ("x", 3, -4)), "node ('x', 3, -4) is not an h or a v node"),
+    ],
+    ids=["leaf-then-wide", "wide-then-leaf", "nested-leaf", "nested-wide", "empty", "other-op"],
+)
+def test_store_names_the_first_defect_left_to_right(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _Store().state(t)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_equivalence(t, t)
+
+
+def test_store_reads_a_deep_alternating_chain_under_the_default_recursion_limit():
+    # one frame per level of alternation
+    levels = 700
+    t = functools.reduce(lambda t, k: (V if k % 2 else H, t, k), range(2, levels + 2), 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        store = _Store()
+        leaves = []
+        key = store.state(t, leaves)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert leaves == list(range(1, levels + 2))
+    assert key[0] == t[0] and key[2] == levels + 1
+    assert len(store.keys) == levels - 1  # every node below the root, once
+
+
+@pytest.mark.parametrize(
+    "bad, node",
+    [
+        ((), ()),
+        ((H, 1, ()), ()),
+        (("x", 1, 2), ("x", 1, 2)),
+        ((H, ("x", 1, 2), 3), ("x", 1, 2)),
+        ((H, (H, 1, 2), ("x", 3, 4)), ("x", 3, 4)),
+    ],
+    ids=["empty", "empty-child", "other-op", "other-op-child", "other-op-right"],
+)
+def test_searches_refuse_a_node_that_is_not_h_or_v_before_any_expansion(bad, node, monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a search expanded a state")
+
+    good = (H, 1, 2)
+    scans = scan_monomials([good, bad])
+    next(scans)  # the bad tree follows a search in the same store
+    monkeypatch.setattr(Frontier, "expand", unreached)
+    monkeypatch.setattr(quotient, "closure", unreached)
+    for call in (
+        lambda: find_commutations(bad),
+        lambda: find_commutations(bad, families=INTERCHANGE_ONLY),
+        lambda: check_equivalence(bad, bad),
+        lambda: check_equivalence(good, bad),
+        lambda: check_equivalence(bad, good),
+        lambda: list(scan_monomials([bad])),
+        lambda: next(scans),
+    ):
+        with pytest.raises(ValueError, match=f"^node {re.escape(repr(node))} is not an h or a v node$"):
+            call()
+
+
+def _mapped_leaves(t, leaf):
+    """``t`` with each leaf replaced by ``leaf(k)``, left to right; any
+    tuple is a node, the empty one included."""
+    if isinstance(t, tuple):
+        return t[:1] + tuple(_mapped_leaves(c, leaf) for c in t[1:])
+    return leaf(t)
+
+
+def _defective(t) -> bool:
+    """Whether t is not a binary h/v monomial with int labels >= 0."""
+    if not isinstance(t, tuple):
+        return not (isinstance(t, int) and t >= 0)
+    return len(t) != 3 or t[0] not in (H, V) or any(map(_defective, t[1:]))
+
+
+_any_trees = st.recursive(
+    st.integers(-3, 10) | st.just(()),
+    lambda kids: st.builds(
+        lambda op, cs: (op, *cs), st.sampled_from((H, V, "x")), st.lists(kids, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_trees, st.randoms(use_true_random=False))
+@example((H, 1, ()), random.Random(0))
+@example((H, (H, 1, 2), ("x", 3, 4)), random.Random(0))
+def test_searches_return_or_refuse_any_tree(t, rng):
+    # any operation, empty nodes and nodes of up to three children, labels
+    # that may be negative or repeated: a result, or a ValueError, which a
+    # tree that is not a binary h/v monomial always gets
+    labels = list(leaf_labels(t))
+    rng.shuffle(labels)
+    shuffled = iter(labels)
+    numbered = iter(range(1, len(labels) + 1))
+    for search, tree in (
+        (lambda u: check_equivalence(u, _mapped_leaves(u, lambda _: next(shuffled)), budget=500), t),
+        (lambda u: find_commutations(u, budget=200), _mapped_leaves(t, lambda _: next(numbered))),
+    ):
+        try:
+            search(tree)
+        except ValueError:
+            continue
+        assert not _defective(tree)
