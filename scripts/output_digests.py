@@ -9,7 +9,10 @@ every output alone leaves every line alone.  The digests cover
 * ``medial verify <target>``, stdout and exit code, for every target;
 * ``medial search --arity 6``, ``7`` and ``8``, and ``search --arity 7
   --no-require-main-cuts``;
-* ``medial count --arity 8``;
+* ``medial count --arity 8``, and ``count --arity 8 --graph-out``, the
+  edge file with stdout and exit code;
+* the five certificates ``scripts/build_certificates.py`` builds, dumped
+  in ``CERTIFICATE_FILES`` order;
 * ``find_commutations`` over the ``census9`` benchmark draws for seeds 1
   and 7 (read from ``perfbench/workloads.py``): for each monomial whether
   its class was exhausted, the states expanded, the class size, and each
@@ -25,13 +28,17 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "scripts"))
 sys.path.insert(0, str(ROOT / "src"))
 
+from build_certificates import build_all  # noqa: E402
 from medial import cli  # noqa: E402
+from medial.catalog import CERTIFICATE_FILES  # noqa: E402
 from medial.quotient import find_commutations  # noqa: E402
 from workloads import census_inputs  # noqa: E402
 
@@ -45,12 +52,29 @@ SEARCHES = (
 )
 
 
-def cli_digest(argv: list[str]) -> str:
-    """sha256 of ``medial <argv>``'s stdout, then a line with its exit code."""
+def cli_digest(argv: list[str], written: str = "") -> str:
+    """sha256 of the file ``written`` (when named), then ``medial <argv>``'s
+    stdout, then a line with its exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    return hashlib.sha256(f"{out.getvalue()}exit {code}\n".encode()).hexdigest()
+    data = Path(written).read_text() if written else ""
+    return hashlib.sha256(f"{data}{out.getvalue()}exit {code}\n".encode()).hexdigest()
+
+
+def graph_digest() -> str:
+    """``cli_digest`` of ``count --arity 8 --graph-out``, the edge file first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = str(Path(tmp) / "graph.txt")
+        return cli_digest(["count", "--arity", "8", "--graph-out", edges], edges)
+
+
+def certificates_digest() -> str:
+    """sha256 over the dumps of the rebuilt bundled certificates, in
+    ``CERTIFICATE_FILES`` order."""
+    built = build_all()
+    dumps = "".join(built[name].dump() for name in CERTIFICATE_FILES)
+    return hashlib.sha256(dumps.encode()).hexdigest()
 
 
 def census_digest(seed: int) -> str:
@@ -69,6 +93,8 @@ def main() -> int:
         print(f"verify-{target}", cli_digest(["verify", target]), flush=True)
     for name, argv in SEARCHES:
         print(name, cli_digest(argv), flush=True)
+    print("count-8-graph-out", graph_digest(), flush=True)
+    print("certificates", certificates_digest(), flush=True)
     for seed in CENSUS_SEEDS:
         print(f"census9-seed-{seed}", census_digest(seed), flush=True)
     return 0

@@ -57,10 +57,10 @@ def interchange_graph(n: int) -> InterchangeGraph:
     check_arity(n, GRAPH_ARITY_LIMIT, "graph")
     vertices = tuple(strip_labels(a) for a in enumerate_alternating(n))
     store = _Store()  # the unlabelled vertices share their subtrees' moves
-    index = {store.from_binary(right_comb(v)): i for i, v in enumerate(vertices)}
+    index = {store.state(right_comb(v)): i for i, v in enumerate(vertices)}
     edges: set[tuple[int, int]] = set()
     for u, i in index.items():
-        for w in store.successors(u):
+        for w in store.neighbours(u):
             j = index[w]
             if i != j:
                 edges.add((min(i, j), max(i, j)))

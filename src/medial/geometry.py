@@ -313,8 +313,9 @@ def _cut_depths(t: Tree) -> tuple[int, int]:
 
 
 def realize(t: Tree) -> BlockPartition:
-    """Geometric realization of a binary monomial: h joins east, v joins
-    north, labels from leaves."""
+    """Geometric realization of a binary monomial, ValueError for any other
+    tree (``trees.check_binary``): h joins east, v joins north, labels from leaves."""
+    trees.check_binary(t)
     # On a 2^d grid, d the larger cut depth, every split is integral, and
     # the deepest split on that axis lands on an odd coordinate, so the
     # grid is already in lowest terms.
@@ -371,11 +372,10 @@ def build_dyadic(choices: Sequence[tuple[int, str]]) -> BlockPartition:
     """
     part = unit_square(label=None)
     for step, (ordinal, axis) in enumerate(choices):
-        if not 1 <= ordinal <= len(part):
-            raise IndexError(f"step {step}: ordinal {ordinal} out of range 1..{len(part)}")
-        if axis not in (X_AXIS, Y_AXIS):
-            raise ValueError(f"step {step}: axis must be 'x' or 'y'")
-        part = bisect(part, ordinal, axis)
+        try:
+            part = bisect(part, ordinal, axis)
+        except (IndexError, ValueError) as exc:
+            raise type(exc)(f"step {step}: {exc}") from None
     return part
 
 
@@ -384,6 +384,8 @@ def bisect(p: BlockPartition, ordinal: int, axis: str) -> BlockPartition:
     by two, back to lowest terms through ``_reduced``; the halves are unlabeled."""
     if not 1 <= ordinal <= len(p):
         raise IndexError(f"ordinal {ordinal} out of range 1..{len(p)}")
+    if axis not in (X_AXIS, Y_AXIS):
+        raise ValueError("axis must be 'x' or 'y'")
     rest = _placed(p.cells, 0, 0, 2, 2)
     x1, x2, y1, y2, _ = rest.pop(ordinal - 1)
     xm, ym = (x1 + x2) // 2, (y1 + y2) // 2
@@ -425,12 +427,14 @@ def cuts(p: BlockPartition) -> frozenset[Cut]:
 
 def _window(p: BlockPartition, r: Rect) -> tuple[int, _Window, Sequence[tuple] | None]:
     """A common denominator for p and r, r's corners over it, and p's cells
-    within r over it, or None when they do not fill r."""
+    within r over it, or None when they do not fill r or r has no area."""
     if r is UNIT_RECT:  # every partition fills the square
         return p.den, (0, p.den, 0, p.den), p.cells
     corners = [Fraction(c) for c in (r.x1, r.x2, r.y1, r.y2)]
     den = math.lcm(p.den, *(c.denominator for c in corners))
     x1, x2, y1, y2 = window = tuple(int(c * den) for c in corners)
+    if x1 >= x2 or y1 >= y2:  # no cell fills a window of no area
+        return den, window, None
     cells = _placed(p.cells, 0, 0, den // p.den, den // p.den)
     inside = [c for c in cells if x1 <= c[0] and c[1] <= x2 and y1 <= c[2] and c[3] <= y2]
     area = sum((c[1] - c[0]) * (c[3] - c[2]) for c in inside)

@@ -30,12 +30,11 @@ calls.  The store interns only subtrees; a state is its root's flat key.
   about 220 bytes a state on CPython 3.11; interning the states too would
   make that 312,050 nodes and 285 bytes a state.
 * ``_Store.neighbours(key)`` is a flat list of the keys of a state's
-  neighbours, and ``successors(n)`` the same list interned, as ids.  Every
-  non-root node memoizes its list of ids; a state's own list is rebuilt
-  from its children's lists on each expansion and never kept, because
-  states far outnumber the subtrees they share.  A child result that
-  collapsed onto the node's own operation is spliced into the node, as
-  flattening the binary interchange does.
+  neighbours.  Every non-root node memoizes its list, as ids; a state's own
+  list is rebuilt from its children's lists on each expansion and never
+  kept, because states far outnumber the subtrees they share.  A child
+  result that collapsed onto the node's own operation is spliced into the
+  node, as flattening the binary interchange does.
 * A local move regroups two adjacent children, each split in two.
   ``_splits(n, bare)`` lists a child's splits for the side of the pair it
   is on: halves prefixed with the new node's operation for the left
@@ -78,11 +77,11 @@ breadth-first search, over ``_Store.neighbours``.  ``find_commutations``
 grows one frontier, ``check_equivalence`` two towards each other until
 either runs dry, which proves the sides distinct: that side holds its whole
 class, so it would have met the other root (Pohl 1971).  A frontier maps
-each state to the state that discovered it and records no move.  Only the
-traced path of a result is spelled out (``_trace``): the move from a parent
-to a state is ``move_to(parent, state)``, the move at the state's first place
-in its parent's list, where it was discovered.  A traced chain is a list of
-(state key, move); no state on it becomes nested tuples.
+each state to the state that discovered it and records no move.  A traced
+path is its states, as ``Frontier.path`` lists them, and only a result's
+paths are spelled out: ``expand_path`` reads the move from a state to the
+next at the next state's first place in the state's list, where it was
+discovered.  No state on a path becomes nested tuples.
 
 Every relation ``medial verify`` proves is a pair (t, sigma(t)), one monomial
 and itself with its arguments permuted.  When ``check_equivalence``'s two
@@ -96,11 +95,11 @@ consumes the log as it goes and maps each state through sigma, a memoized
 ``_Relabel`` (node ids to the ids of their images, in the same store).  The
 second side never leads: ties go to the first, and mirrored sides have
 equal level sizes, so a run is always logged before it is replayed, and a
-missing run is a ``RewriteError``.  A result's chains are traced with the
-kernel (``_trace``) and rebuilt as binary rewrites (``expand_path``), so a
-wrong image raises instead of becoming a certificate; a negative rests on
-the first side's own expansion.  A pair with a repeated label, or of two
-shapes, runs the kernel on both sides.  On kock16 ``neighbours`` runs on
+missing run is a ``RewriteError``.  A result's paths are walked with the
+kernel and rebuilt as binary rewrites (``expand_path``), so a wrong image
+raises instead of becoming a certificate; a negative rests on the first
+side's own expansion.  A pair with a repeated label, or of two shapes, runs
+the kernel on both sides.  On kock16 ``neighbours`` runs on
 25,411 states instead of 35,442: 10,031 of the check's 35,428 expansions
 are replayed, and the traced paths run the kernel as before.
 
@@ -167,6 +166,7 @@ from .trees import (
     Position,
     Tree,
     V,
+    _not_binary,
     is_leaf,
     leaf_labels,
     relabel,
@@ -177,19 +177,11 @@ from .trees import (
 # child i+1); the node's operation determines the interchange direction.
 Move = tuple[Position, int, int, int]
 State = tuple | int  # the flat key (op, child id, ...) of a searched tree, or a leaf
-Chain = list[tuple[State, Move]]  # (state, move taken there), in order
 
 
 # ---------------------------------------------------------------------------
 # Hash-consed states
 # ---------------------------------------------------------------------------
-
-def _not_binary(node: tuple) -> ValueError:
-    """The refusal of a tuple that is not a binary h or v node."""
-    if node and node[0] in (H, V):
-        return ValueError(f"a {node[0]} node with {len(node) - 1} children is not binary")
-    return ValueError(f"node {node!r} is not an h or a v node")
-
 
 class _Store(dict):
     """Interned subtrees of one search; see the module docstring."""
@@ -206,32 +198,23 @@ class _Store(dict):
         self.memo.append(None)
         return nid
 
-    def from_binary(self, t: Tree, leaves: list[int] | None = None) -> int:
-        """Flatten and intern a binary monomial in one pass; its leaf labels
-        are appended to ``leaves``, left to right, when a list is given."""
-        key = self.state(t, leaves)
-        return key if is_leaf(key) else self[key]
-
     def state(self, t: Tree, leaves: list[int] | None = None) -> State:
-        """``from_binary`` without interning the root: the search state of
-        ``t``, the flat key of its root, or a leaf alone.
+        """The search state of ``t``, the flat key of its root, or a leaf
+        alone; its leaf labels are appended to ``leaves``, left to right,
+        when a list is given.
 
         One frame reads the maximal subtree of the root's operation: a node
         of that operation pushes its two children, right first; a leaf is
         appended to the key and to ``leaves``; a node of the other
         operation is read in a nested frame and interned.  ValueError on
-        the first defect met, left to right: a node that does not have two
-        children, a node that is empty or has an operation other than h or
-        v, or a leaf that is not an int >= 0, which the store would
-        misread."""
+        the first defect met, left to right, as ``trees.check_binary``
+        names it."""
         if leaves is None:
             leaves = []
-        if not isinstance(t, tuple):  # a one-leaf monomial
-            if not (isinstance(t, int) and t >= 0):
-                raise ValueError(f"leaf {t!r} is not an int >= 0")
+        if isinstance(t, int) and t >= 0:  # a one-leaf monomial
             leaves.append(t)
             return t
-        if len(t) != 3 or t[0] not in (H, V):
+        if not isinstance(t, tuple) or len(t) != 3 or t[0] not in (H, V):
             raise _not_binary(t)
         op = t[0]
         other = OPPOSITE[op]
@@ -242,9 +225,7 @@ class _Store(dict):
             if isinstance(sub, int) and sub >= 0:  # is_leaf inlined: no call per leaf
                 key.append(sub)
                 leaves.append(sub)
-            elif not isinstance(sub, tuple):
-                raise ValueError(f"leaf {sub!r} is not an int >= 0")
-            elif len(sub) != 3:
+            elif not isinstance(sub, tuple) or len(sub) != 3:
                 raise _not_binary(sub)
             elif sub[0] == op:
                 stack.append(sub[2])
@@ -407,10 +388,6 @@ class _Store(dict):
                 out.append(index[new] if intern else new)
         return out
 
-    def successors(self, n: int) -> list[int]:
-        """The ids of the neighbours of node ``n``, in ``neighbours`` order."""
-        return self.neighbours(self.keys[~n], True) if n < 0 else []
-
     def move(self, key: State, k: int) -> Move:
         """The move behind entry ``k`` of ``neighbours(key)``, which must have
         run, read block by block off the keys and the children's memoized
@@ -431,11 +408,6 @@ class _Store(dict):
                 return ((j, *path), *rest)
             k -= size
         raise IndexError("move index out of range")
-
-    def move_to(self, key: State, state: State) -> Move:
-        """The move from the state ``key`` to its neighbour ``state``, at its
-        first place in ``neighbours(key)``; ValueError if none leads there."""
-        return self.move(key, self.neighbours(key).index(state))
 
 
 def alt_successors(tree: AltTree) -> Iterator[tuple[Move, AltTree]]:
@@ -501,14 +473,13 @@ def _move_steps(keys: list[tuple], state: tuple, move: Move) -> list[RewriteStep
     return steps
 
 
-def expand_path(store: _Store, t_start: Tree, chain: Chain) -> Certificate:
-    """The certificate from ``t_start`` through a chain of quotient moves.
-
-    ``chain`` lists (state, move taken there) in order, each state a key of
-    ``store``.  Each step is applied once, to the running right comb, which
-    at each move must be the right comb of the state the move is taken at:
-    the state of ``t_start``, then the one the move before it led to.  The
-    comb the walk ends on is the certificate's ``final``."""
+def expand_path(store: _Store, t_start: Tree, path: list[State]) -> Certificate:
+    """The certificate from ``t_start`` along ``path``, states of ``store``
+    from ``t_start``'s own.  Each move is the one at the next state's first
+    place in the state's ``neighbours``, where a search discovers it; a next
+    state not there is a ``RewriteError``.  Each step is applied once, to the
+    running right comb, which at each move must be the right comb of the
+    state the move is taken at; the comb the walk ends on is ``final``."""
     keys = store.keys
     combs: dict[int, Tree] = {}  # right comb of each node id met
 
@@ -526,7 +497,12 @@ def expand_path(store: _Store, t_start: Tree, chain: Chain) -> Certificate:
 
     at, rotate = comb_steps(t_start)
     steps = list(rotate)
-    for state, move in chain:
+    for k, (state, nxt) in enumerate(pairwise(path)):
+        try:
+            move = store.move(state, store.neighbours(state).index(nxt))
+        except ValueError:
+            msg = f"no single move leads from state {k} to state {k + 1} of the path"
+            raise RewriteError(msg) from None
         want = right_comb_of(state)
         if at != want:
             raise RewriteError(f"move {move} does not start where the chain stands")
@@ -554,17 +530,11 @@ class EquivalenceResult:
         return self.certificate is not None
 
 
-def _trace(store: _Store, search: Frontier, state: State) -> Chain:
-    """Chain from the search's root to ``state``.  A state was discovered at
-    its first place in its parent's successor list, so that place names the move."""
-    return [(u, store.move_to(u, v)) for u, v in pairwise(search.path(state))]
-
-
-def _certificate(store: _Store, t1: Tree, chain1: Chain, t2: Tree, chain2: Chain) -> Certificate:
-    """Certificate from ``t1`` along ``chain1``, then back along ``chain2``
-    to ``t2``, both chains of ``store``'s states: the two ``expand_path``
-    walks joined, no step applied again; walks ending apart are an error."""
-    fwd, bwd = expand_path(store, t1, chain1), expand_path(store, t2, chain2)
+def _certificate(store: _Store, t1: Tree, path1: list, t2: Tree, path2: list) -> Certificate:
+    """Certificate from ``t1`` along ``path1``, then back along ``path2`` to
+    ``t2``, both paths of ``store``'s states: the two ``expand_path`` walks
+    joined, no step applied again; walks ending apart are an error."""
+    fwd, bwd = expand_path(store, t1, path1), expand_path(store, t2, path2)
     if fwd.final != bwd.final:
         raise RewriteError("the traced chains do not meet")
     return Certificate(t1, fwd.steps + bwd.inverted().steps, t2)
@@ -663,7 +633,7 @@ def check_equivalence(
                 mirror.record(new)
             for nxt in new:
                 if nxt in other.parents:
-                    fwd, bwd = (_trace(store, side, nxt) for side in sides)
+                    fwd, bwd = (side.path(nxt) for side in sides)
                     cert = _certificate(store, t1, fwd, t2, bwd)
                     return EquivalenceResult(cert, False, expanded())
     return EquivalenceResult(None, True, expanded())
@@ -784,7 +754,7 @@ def _scan(t: Tree, budget: int, store: _Store, root: State) -> tuple[Commutation
         witnesses = _witnesses(
             t,
             ((store.tree(s), s) for s in members),
-            lambda state, target: _certificate(store, t, _trace(store, search, state), target, []),
+            lambda state, target: _certificate(store, t, search.path(state), target, []),
         )
     scan = CommutationScan(
         witnesses=witnesses,

@@ -27,6 +27,7 @@ from .trees import (
     V,
     Position,
     Tree,
+    check_binary,
     format_monomial,
     is_leaf,
     leaf_labels,
@@ -248,8 +249,9 @@ def closure(
 
     ``budget`` bounds node expansions; running out is reported through
     ``exhausted=False``, not an exception.  Every rewrite preserves arity
-    and the leaf multiset, so members all share t's leaves.
-    """
+    and the leaf multiset, so members all share t's leaves.  ValueError
+    unless t is a binary monomial (``check_binary``)."""
+    check_binary(t)
     fams = frozenset(families)
     start_leaves = sorted(leaf_labels(t))
 

@@ -22,7 +22,8 @@ form is binary; ``format_monomial`` raises ``ValueError`` on a wider node),
 
 ``bracketings`` is the package's one bracketing enumerator: the shapes,
 ``assoc.binary_representatives`` and ``intervals.association_types`` are
-each one call to it.  ``check_arity`` is the one arity guard.
+each one call to it.  ``check_arity`` is the one arity guard, and
+``check_binary`` the one check that a tree is a binary h/v monomial.
 
 ``parse_monomial`` is also where text input meets the recursive walkers of
 the package: it refuses nesting deeper than ``NESTING_LIMIT``.
@@ -376,6 +377,28 @@ def check_arity(n: int, limit: int, kind: str = "enumeration") -> None:
         raise ValueError("arity must be >= 1")
     if n > limit:
         raise ValueError(f"arity {n} exceeds the {kind} limit {limit}")
+
+
+def _not_binary(node: Tree) -> ValueError:
+    """The refusal of a leaf that is not an int >= 0, or of a tuple that is
+    not a binary h or v node."""
+    if not isinstance(node, tuple):
+        return ValueError(f"leaf {node!r} is not an int >= 0")
+    if node and node[0] in OPS:
+        return ValueError(f"a {node[0]} node with {len(node) - 1} children is not binary")
+    return ValueError(f"node {node!r} is not an h or a v node")
+
+
+def check_binary(t: Tree) -> None:
+    """ValueError, naming the first defect met left to right, unless ``t`` is
+    a binary monomial: h and v nodes of two children, leaves ints >= 0."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple) and len(node) == 3 and node[0] in OPS:
+            stack += node[2], node[1]
+        elif not (isinstance(node, int) and node >= 0):
+            raise _not_binary(node)
 
 
 def bracketings(parts: Sequence[Sequence], join: Callable[..., Iterable]) -> Iterator:

@@ -117,6 +117,16 @@ def test_build_certificates_check_names_a_differing_file(tmp_path):
     assert script.differing_files(built, tmp_path) == ["bm9.json", "case2.json"]
 
 
+def test_build_certificates_refuses_milestones_no_interchange_joins(monkeypatch):
+    spec = importlib.util.spec_from_file_location("build_certificates", BUILD_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    milestones = script.CONFIG_A_MILESTONES
+    monkeypatch.setattr(script, "CONFIG_A_MILESTONES", milestones[:5] + milestones[6:])
+    with pytest.raises(SystemExit, match="no single move leads from state 4 to state 5 of the path"):
+        script.build_config_a()
+
+
 def test_build_certificates_refuses_a_certificate_that_does_not_replay(monkeypatch):
     # an explicit check, not an assert, so that python -O keeps it
     spec = importlib.util.spec_from_file_location("build_certificates", BUILD_SCRIPT)

@@ -458,6 +458,34 @@ def test_internally_built_partitions_are_valid():
     _assert_valid(bisect(thirds, 1, "y"))
 
 
+def test_bisect_refuses_an_axis_other_than_x_or_y():
+    with pytest.raises(ValueError, match="^axis must be 'x' or 'y'$"):
+        bisect(GRID, 1, "z")
+    # build_dyadic raises bisect's refusals, with the step's index
+    with pytest.raises(ValueError, match="^step 1: axis must be 'x' or 'y'$"):
+        build_dyadic([(1, "x"), (1, "z")])
+    with pytest.raises(IndexError, match=r"^step 1: ordinal 4 out of range 1\.\.2$"):
+        build_dyadic([(1, "x"), (4, "y")])
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        Rect(F(0), F(1), F(1, 2), F(1, 2)),
+        Rect(F(1, 2), F(1, 2), F(0), F(1)),
+        Rect(F(1), F(0), F(0), F(1)),
+    ],
+    ids=["no-height", "no-width", "reversed"],
+)
+def test_a_rectangle_of_no_area_is_no_subrectangle(r):
+    assert is_subrectangle(GRID, r) is None
+    with pytest.raises(PartitionError, match="is not a subrectangle"):
+        main_cuts(GRID, r)
+    for orientation in (HORIZONTAL, VERTICAL):
+        with pytest.raises(PartitionError, match="is not a subrectangle"):
+            primary_cuts_and_slices(GRID, r, orientation)
+
+
 def test_bisect_ordinals_track_sorted_order():
     p = build_dyadic([(1, "x")])
     q = bisect(p, 2, "y")

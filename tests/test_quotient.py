@@ -18,7 +18,7 @@ from medial.assoc import (
     to_alternating,
 )
 from medial.catalog import BM9, CASE2, CONFIG_A, CONFIG_B, CONFIG_C, KOCK16
-from medial.geometry import grid_partitions, representative
+from medial.geometry import grid_partitions, realize, representative
 from medial.quotient import (
     EquivalenceResult,
     _Store,
@@ -51,6 +51,7 @@ from medial.trees import (
     H,
     V,
     _map_leaves,
+    check_binary,
     enumerate_shapes,
     is_leaf,
     leaf_labels,
@@ -72,7 +73,7 @@ def _binary_route_neighbours(a):
 
 
 def _moves(tree):
-    """The moves of ``tree``, in the order of ``_Store.successors``."""
+    """The moves of ``tree``, in the order of ``_Store.neighbours``."""
     return [move for move, _ in alt_successors(tree)]
 
 
@@ -258,7 +259,7 @@ def test_store_successors_follow_moves_in_order():
     trees += [strip_labels(a) for a in enumerate_alternating(6)]
     store = _Store()
     for t in trees:
-        got = [store.tree(c) for c in store.successors(store.from_binary(right_comb(t)))]
+        got = [store.tree(c) for c in store.neighbours(store.state(right_comb(t)), True)]
         assert got == [apply_move(t, m) for m in _moves(t)]
         # the search's view: the same trees, in the same order, as states
         key = store.state(right_comb(t))
@@ -277,14 +278,14 @@ def test_search_interns_fewer_nodes_than_it_has_states():
 def test_same_shape_agrees_with_stripped_trees():
     rng = random.Random(26)
     store = _Store()
-    ids = [store.from_binary(random_shape(rng.randint(1, 9), rng)) for _ in range(300)]
+    ids = [store.state(random_shape(rng.randint(1, 9), rng)) for _ in range(300)]
     # a shape that recurs with other labels, so that true answers occur
-    ids += [store.from_binary(relabel(t, {1: 2, 2: 1})) for t in (BM9.lhs, CONFIG_A.lhs)]
-    ids += [store.from_binary(BM9.lhs), store.from_binary(CONFIG_A.lhs)]
+    ids += [store.state(relabel(t, {1: 2, 2: 1})) for t in (BM9.lhs, CONFIG_A.lhs)]
+    ids += [store.state(BM9.lhs), store.state(CONFIG_A.lhs)]
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(3000)]
     pairs += [(a, b) for a in ids[-4:] for b in ids[-4:]]
-    leaf, node = 1, store.from_binary((H, 1, 2))
-    wide = store.from_binary((H, 1, (H, 2, 3)))
+    leaf, node = 1, store[store.state((H, 1, 2))]
+    wide = store[store.state((H, 1, (H, 2, 3)))]
     pairs += [(node, node), (leaf, node), (node, leaf), (node, wide), (leaf, 2)]
     answers = set()
     shape = quotient._Relabel(store, dict.fromkeys(range(1, 11), 0))
@@ -397,18 +398,33 @@ def test_expand_move_produces_replayable_segments():
 def test_expand_path_rejects_a_broken_chain():
     t = parse_monomial("(((a h b) v (c h d)) h ((e h f) v (g h k)))")
     u = to_alternating(t)
-    (m1, v1), (m2, _) = list(alt_successors(u))[:2]
+    (m1, v1), (m2, v2) = list(alt_successors(u))[:2]
     (m3, w), *_ = alt_successors(v1)
     store = _Store()
-    u, v1 = store.state(right_comb(u)), store.state(right_comb(v1))
-    cert = expand_path(store, t, [(u, m1), (v1, m3)])
+    u, v1, v2, x = (store.state(right_comb(a)) for a in (u, v1, v2, w))
+    cert = expand_path(store, t, [u, v1, x])
     assert cert.final == right_comb(w)
     # the second move is taken at u again, not where the first one led
     with pytest.raises(RewriteError):
-        expand_path(store, t, [(u, m1), (u, m2)])
+        expand_path(store, t, [u, v1, v2])
     # the first move is not taken at t's own alternating form
     with pytest.raises(RewriteError):
-        expand_path(store, t, [(v1, m3)])
+        expand_path(store, t, [v1, x])
+
+
+def test_expand_path_names_the_states_no_move_joins():
+    t = parse_monomial("(((a h b) v (c h d)) h ((e h f) v (g h k)))")
+    store = _Store()
+    u = store.state(t)
+    v1, v2 = store.neighbours(u)[:2]
+    assert v2 not in store.neighbours(v1)
+    with pytest.raises(RewriteError, match="^no single move leads from state 1 to state 2 of the path$"):
+        expand_path(store, t, [u, v1, v2])
+    with pytest.raises(RewriteError, match="^no single move leads from state 0 to state 1 of the path$"):
+        expand_path(store, t, [u, u])
+    # an empty path is t's comb steps alone, as a one-state path is
+    assert expand_path(store, t, []) == expand_path(store, t, [u])
+    assert expand_path(store, t, []).steps == comb_steps(t)[1]
 
 
 def test_a_certificate_that_misses_its_target_is_an_error(monkeypatch):
@@ -602,7 +618,7 @@ def _plain_check_equivalence(t1, t2, budget=DEFAULT_BUDGET):
                 return EquivalenceResult(None, False, expanded())
             for nxt in mine.expand():
                 if nxt in other.parents:
-                    fwd, bwd = (quotient._trace(store, s, nxt) for s in sides)
+                    fwd, bwd = (s.path(nxt) for s in sides)
                     cert = quotient._certificate(store, t1, fwd, t2, bwd)
                     return EquivalenceResult(cert, False, expanded())
     return EquivalenceResult(None, True, expanded())
@@ -699,6 +715,21 @@ def test_replay_refuses_a_missing_run():
     mirror = quotient._Mirror(_Store(), {1: 2, 2: 1})
     with pytest.raises(RewriteError):
         mirror.replay((H, 2, 1))
+
+
+def test_a_wrong_replayed_image_is_a_rewrite_error(monkeypatch):
+    # sigma composed with BM9's commutation (5 7): the replayed side's
+    # images stay in the class, so the sides meet on one of them, and the
+    # walk of that side's path finds no move to it
+    mirror = quotient._Mirror.__init__
+    tau = {5: 7, 7: 5}
+
+    def skewed(self, store, sigma):
+        mirror(self, store, {k: sigma[tau.get(k, k)] for k in sigma})
+
+    monkeypatch.setattr(quotient._Mirror, "__init__", skewed)
+    with pytest.raises(RewriteError, match="^no single move leads from state 0 to state 1 of the path$"):
+        check_equivalence(BM9.lhs, BM9.rhs)
 
 
 def test_find_commutations_none_for_small_arity():
@@ -1049,14 +1080,15 @@ def test_store_reads_a_binary_monomial_as_its_alternating_tree():
         again = []
         assert store.state(t, again) == key and again == leaves
         assert len(store.keys) == interned  # read again, nothing is interned
-        nid = store.from_binary(t)
+        nid = key if is_leaf(key) else store[key]  # the root interned too
         if is_leaf(key):
             assert nid == key
         else:
             assert nid < 0 and store.keys[~nid] == key
         assert store.tree(nid) == to_alternating(t)
         interned = len(store.keys)
-        assert store.from_binary(t) == nid and len(store.keys) == interned
+        # read again, the root is found, not interned again
+        assert store.get(store.state(t), key) == nid and len(store.keys) == interned
 
 
 @pytest.mark.parametrize(
@@ -1174,3 +1206,44 @@ def test_searches_return_or_refuse_any_tree(t, rng):
         except ValueError:
             continue
         assert not _defective(tree)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (("x", 1, 2), "node ('x', 1, 2) is not an h or a v node"),
+        ((H, 1, 2, 3), "a h node with 3 children is not binary"),
+        ((H, -1, 2), "leaf -1 is not an int >= 0"),
+        ((), "node () is not an h or a v node"),
+        ((H, 1, ()), "node () is not an h or a v node"),
+        (("x", ("x", 1, 2), 3), "node ('x', ('x', 1, 2), 3) is not an h or a v node"),
+    ],
+    ids=["other-op", "wide", "negative-leaf", "empty", "empty-child", "other-op-nested"],
+)
+def test_realize_and_closure_name_the_first_defect(t, message):
+    for read in (check_binary, realize, closure):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_trees)
+@example(("x", 1, 2))
+@example((H, -1, 2))
+@example(("x", ("x", 1, 2), 3))
+def test_realize_and_closure_return_or_refuse_any_tree(t):
+    # the geometry and the binary closure refuse what the store refuses,
+    # with the same message, and read every binary h/v monomial
+    try:
+        _Store().state(t)
+    except ValueError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+    assert (refusal is not None) == _defective(t)
+    for read in (check_binary, realize, lambda u: closure(u, budget=20)):
+        if refusal is None:
+            read(t)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                read(t)
